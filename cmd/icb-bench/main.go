@@ -50,7 +50,7 @@ func main() {
 		budget   = flag.Int("budget", 2000, "execution budget per strategy for growth curves")
 		sample   = flag.Int("sample", 0, "curve sampling stride (0 = budget/50)")
 		seed     = flag.Int64("seed", 1, "random-walk seed")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker engines for icb searches (1 = sequential reference search)")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker engines for icb searches (1 = the same search inline, in sequential order)")
 		parOut   = flag.String("parallel-out", "BENCH_parallel.json", "JSON output path for -exp parallel (empty = stdout table only)")
 		profOut  = flag.String("profile-out", "BENCH_profile.json", "JSON output path for -exp profile (empty = stdout table only)")
 		bporOut  = flag.String("bpor-out", "BENCH_bpor.json", "JSON output path for -exp bpor (empty = stdout table only)")

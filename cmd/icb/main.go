@@ -89,7 +89,7 @@ func run() int {
 		every    = flag.Bool("everyaccess", false, "scheduling points at every shared access (no sync-only reduction)")
 		list     = flag.Bool("list", false, "list benchmarks and bug variants")
 		seed     = flag.Int64("seed", 1, "seed for the random strategy")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker engines for the icb strategy (1 = sequential reference search)")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker engines for the icb strategy (1 = the same search inline, in sequential order)")
 		progress = flag.Bool("progress", false, "print live search progress to stderr")
 		events   = flag.String("events", "", "write the structured event stream (NDJSON) to this file")
 		jsonOut  = flag.Bool("json", false, "print the final result as JSON on stdout (human text goes to stderr)")
@@ -249,16 +249,6 @@ func run() int {
 	if resumeCk != nil {
 		opt.Resume = &resumeCk.State
 		if err := core.ValidateResume(&resumeCk.State, opt); err != nil {
-			log.Error("resume validation failed", "err", err)
-			return 2
-		}
-		// The stealing and sequential schedulers write incompatible frontier
-		// snapshots; the resolved worker count decides which one runs.
-		effWorkers := 1
-		if _, ok := strat.(core.ParallelICB); ok {
-			effWorkers = *workers
-		}
-		if err := core.ValidateResumeWorkers(&resumeCk.State, effWorkers); err != nil {
 			log.Error("resume validation failed", "err", err)
 			return 2
 		}

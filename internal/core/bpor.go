@@ -337,7 +337,7 @@ func (p *bporPoint) enabledPos(t sched.TID) int {
 }
 
 // bporExec is the per-execution state of the reduction, owned by one
-// icbController.
+// boundController.
 type bporExec struct {
 	st    *bporState
 	bound int
@@ -428,7 +428,7 @@ func pendingOp(info sched.PickInfo, chosen sched.TID) sched.Op {
 
 // stateFP returns the current happens-before fingerprint when the
 // work-item cache is on (emissions key their cache consult on it).
-func (c *icbController) stateFP() uint64 {
+func (c *boundController) stateFP() uint64 {
 	if c.cache == nil {
 		return 0
 	}
@@ -440,7 +440,7 @@ func (c *icbController) stateFP() uint64 {
 // discovers backtrack points grouped by the later conflicting step, but
 // plain ICB pushes seeds in path order, and draining the next bound in a
 // different order can displace a first sighting to a later execution.
-func (c *icbController) bporQueue(j int, t sched.TID) {
+func (c *boundController) bporQueue(j int, t sched.TID) {
 	x := c.bpor
 	x.pending = append(x.pending, bporPending{j: j, t: t})
 }
@@ -453,7 +453,7 @@ func (c *icbController) bporQueue(j int, t sched.TID) {
 // with no more executions" pin tests rely on. Registration also happens
 // here, not at queue time, so it cannot reorder against the free-point
 // sibling pushes that happen live during the execution.
-func (c *icbController) bporFlush() {
+func (c *boundController) bporFlush() {
 	x := c.bpor
 	if len(x.pending) == 0 {
 		return
@@ -476,7 +476,7 @@ func (c *icbController) bporFlush() {
 // search) or the work-item cache proves its subtree covered. The item's
 // preemption cost routes it: affordable within the current bound goes to
 // the local stack, one more goes to the next bound's queue.
-func (c *icbController) bporEmitAt(pt *bporPoint, t sched.TID) {
+func (c *boundController) bporEmitAt(pt *bporPoint, t sched.TID) {
 	if t == pt.chosen {
 		return
 	}
@@ -499,7 +499,7 @@ func (c *icbController) bporEmitAt(pt *bporPoint, t sched.TID) {
 	alt := c.cur[:pt.curLen].Extend(sched.ThreadDecision(t))
 	x.st.noteEmitted(x.bound)
 	if cost > x.bound {
-		c.onPreempt(alt)
+		c.onNext(alt)
 	} else {
 		c.onLocal(alt)
 	}
@@ -514,7 +514,7 @@ func (c *icbController) bporEmitAt(pt *bporPoint, t sched.TID) {
 // thread at the prior context switch (the first point of the conflicting
 // step's quantum), where the minimal representative of the reversed trace
 // may need to preempt instead.
-func (c *icbController) bporBacktrack(p sched.TID, o sched.Op) {
+func (c *boundController) bporBacktrack(p sched.TID, o sched.Op) {
 	x := c.bpor
 	for j := 0; j < len(x.points); j++ {
 		pt := &x.points[j]
@@ -555,7 +555,7 @@ func (c *icbController) bporBacktrack(p sched.TID, o sched.Op) {
 // to Algorithm 1's blind branching along aborted executions (they are the
 // rare case) restores class-for-class parity with the unreduced search
 // while keeping the reduction's savings on the completing majority.
-func (c *icbController) bporExpandTruncated() {
+func (c *boundController) bporExpandTruncated() {
 	x := c.bpor
 	for i := range x.points {
 		pt := &x.points[i]
@@ -571,9 +571,9 @@ func (c *icbController) bporExpandTruncated() {
 // first execution of an enqueued item runs its backtracking scan here),
 // reconstruct the sleep set — every sibling registered before the taken
 // decision is covered through an earlier subtree — and advance the sleep
-// set past the executed operation. Called with c.preempts not yet
+// set past the executed operation. Called with c.spent not yet
 // including this decision's own preemption, so recorded costs are exact.
-func (c *icbController) bporReplayThread(info sched.PickInfo, chosen sched.TID) {
+func (c *boundController) bporReplayThread(info sched.PickInfo, chosen sched.TID) {
 	x := c.bpor
 	o := pendingOp(info, chosen)
 	seqTaken, claimed := x.st.markScanned(x.key(len(x.keyBuf), sched.ThreadDecision(chosen)))
@@ -588,7 +588,7 @@ func (c *icbController) bporReplayThread(info sched.PickInfo, chosen sched.TID) 
 	if claimed {
 		c.bporBacktrack(chosen, o)
 	}
-	x.record(info, chosen, o, len(c.cur), c.preempts, c.stateFP())
+	x.record(info, chosen, o, len(c.cur), c.spent, c.stateFP())
 	x.afterChoice(chosen, o)
 }
 
@@ -596,7 +596,7 @@ func (c *icbController) bporReplayThread(info sched.PickInfo, chosen sched.TID) 
 // reduction, replacing the blind branches of Algorithm 1's lines 26-37.
 // Returns the scheduled thread, or ok=false to cut the execution (cache
 // guard, or every enabled thread asleep).
-func (c *icbController) bporExtendThread(info sched.PickInfo) (sched.TID, bool) {
+func (c *boundController) bporExtendThread(info sched.PickInfo) (sched.TID, bool) {
 	x := c.bpor
 	if info.PrevEnabled {
 		// Preemptible point: the running thread continues. Plain ICB would
@@ -607,14 +607,14 @@ func (c *icbController) bporExtendThread(info sched.PickInfo) (sched.TID, bool) 
 		pick := info.Prev
 		o := pendingOp(info, pick)
 		_, claimed := x.st.markScanned(x.key(len(x.keyBuf), sched.ThreadDecision(pick)))
-		if !c.take(sched.ThreadDecision(pick), c.preempts) {
+		if !c.take(sched.ThreadDecision(pick), c.spent) {
 			return sched.NoTID, false
 		}
 		x.st.noteSuppressed(x.bound, int64(len(info.Enabled)-1))
 		if claimed {
 			c.bporBacktrack(pick, o)
 		}
-		x.record(info, pick, o, len(c.cur), c.preempts, c.stateFP())
+		x.record(info, pick, o, len(c.cur), c.spent, c.stateFP())
 		x.afterChoice(pick, o)
 		c.cur = append(c.cur, sched.ThreadDecision(pick))
 		x.note(sched.ThreadDecision(pick))
@@ -644,7 +644,7 @@ func (c *icbController) bporExtendThread(info sched.PickInfo) (sched.TID, bool) 
 	}
 	o := pendingOp(info, pick)
 	seqTaken, claimed := x.st.markScanned(x.key(len(x.keyBuf), sched.ThreadDecision(pick)))
-	if !c.take(sched.ThreadDecision(pick), c.preempts) {
+	if !c.take(sched.ThreadDecision(pick), c.spent) {
 		return sched.NoTID, false
 	}
 	suppressed := 0
@@ -666,7 +666,7 @@ func (c *icbController) bporExtendThread(info sched.PickInfo) (sched.TID, bool) 
 			}
 			continue
 		}
-		if c.push(sched.ThreadDecision(u), c.preempts) {
+		if c.push(sched.ThreadDecision(u), c.spent) {
 			x.st.noteEmitted(x.bound)
 			c.onLocal(c.cur.Extend(sched.ThreadDecision(u)))
 		}
@@ -675,7 +675,7 @@ func (c *icbController) bporExtendThread(info sched.PickInfo) (sched.TID, bool) 
 	if claimed {
 		c.bporBacktrack(pick, o)
 	}
-	x.record(info, pick, o, len(c.cur), c.preempts, c.stateFP())
+	x.record(info, pick, o, len(c.cur), c.spent, c.stateFP())
 	x.afterChoice(pick, o)
 	c.cur = append(c.cur, sched.ThreadDecision(pick))
 	x.note(sched.ThreadDecision(pick))

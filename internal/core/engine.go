@@ -91,26 +91,18 @@ type Engine struct {
 	// event stream; the on-disk ordinal is the journal writer's).
 	ckptSeq int
 
-	// Work-stealing parallel search plumbing (see ParallelICB). early marks
-	// that the current execution runs ahead of the softened bound barrier
-	// (its bound has not started retiring), so bug sightings are diverted
-	// into held instead of being filed: filing them now could misreport a
+	// Work-stealing worker plumbing (see ParallelICB). early marks that
+	// the current execution runs ahead of the softened bound barrier (its
+	// bound has not started retiring), so bug sightings are diverted into
+	// held instead of being filed: filing them now could misreport a
 	// non-minimal preemption count or halt a StopOnFirstBug search before
 	// all lower-bound executions ran. heldSeen dedups within held. probes is
 	// this worker's batched state-set front-end, flushed at execution ends
 	// and safepoints so set counts are exact whenever the search reads them.
-	// scheduler tags exported snapshots with the scheduler version; the
-	// ckpt* fields carry the stealing search's extra frontier state into the
-	// next exportState call (zero on a sequential engine).
-	early          bool
-	held           []HeldBug
-	heldSeen       map[bugKey]int
-	probes         *hb.ProbeBuffer
-	scheduler      string
-	ckptNext2      []sched.Schedule
-	ckptHeld       []HeldBug
-	ckptDoneExecs  int
-	ckptEarlyExecs int
+	early    bool
+	held     []HeldBug
+	heldSeen map[bugKey]int
+	probes   *hb.ProbeBuffer
 }
 
 // bugKey identifies a defect for deduplication across executions.
@@ -449,19 +441,19 @@ func (e *Engine) RunExecution(ctrl sched.Controller) (out sched.Outcome, done bo
 		e.det.Reset()
 	}
 	// Profiling setup must inspect ctrl before the estimator wraps it: the
-	// replay/explore split marker lives on the ICB controller itself.
+	// replay/explore split marker lives on the bound controller itself.
 	var (
 		profStart   time.Time
 		profSampled bool
-		profICB     *icbController
+		profCtrl    *boundController
 	)
 	observers := e.observers
 	if e.prof != nil {
 		e.profExecs++
 		profSampled = e.prof.Sampled(e.profExecs)
-		if ic, ok := ctrl.(*icbController); ok {
+		if ic, ok := ctrl.(*boundController); ok {
 			ic.profClock = true
-			profICB = ic
+			profCtrl = ic
 		}
 		if profSampled {
 			e.fpNS, e.raceNS, e.cacheProbeNS = 0, 0, 0
@@ -492,10 +484,10 @@ func (e *Engine) RunExecution(ctrl sched.Controller) (out sched.Outcome, done bo
 	if e.prof != nil {
 		total := time.Since(profStart).Nanoseconds()
 		var replay int64
-		if profICB != nil {
-			if !profICB.replayDoneAt.IsZero() {
-				replay = profICB.replayDoneAt.Sub(profStart).Nanoseconds()
-			} else if len(profICB.path) > 0 {
+		if profCtrl != nil {
+			if !profCtrl.replayDoneAt.IsZero() {
+				replay = profCtrl.replayDoneAt.Sub(profStart).Nanoseconds()
+			} else if len(profCtrl.path) > 0 {
 				// The execution never reached a decision past its replayed
 				// prefix (cut during replay or ended exactly at its end).
 				replay = total

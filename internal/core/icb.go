@@ -19,178 +19,112 @@ import (
 //     number of preemptions over the whole program;
 //   - when bound c completes, every execution with at most c preemptions
 //     has been explored, so any remaining bug needs ≥ c+1 preemptions.
+//
+// ICB is the 1-worker case of the one search driver (see ParallelICB): the
+// bound loop runs inline on the calling goroutine.
 type ICB struct{}
 
 // Name implements Strategy.
 func (ICB) Name() string { return "icb" }
 
 // Explore implements Strategy.
-func (ICB) Explore(e *Engine) {
-	maxBound := e.Options().MaxPreemptions
+func (ICB) Explore(e *Engine) { drive(e, 1, preemptionCost, nil) }
 
-	// workQueue holds the schedules to explore within the current bound;
-	// nextWork holds the schedules that require one more preemption.
-	workQueue := []sched.Schedule{nil}
-	var nextWork []sched.Schedule
-	currBound := 0
-	resumed := e.Options().Resume
-	if resumed != nil {
-		// Re-enter Algorithm 1's loop exactly where the snapshot left it:
-		// the seed queue is the interrupted bound's remaining work in drain
-		// order (see SearchState), so the executions that follow are the
-		// executions the uninterrupted search would have run next.
-		currBound = resumed.Bound
-		workQueue = resumed.SeedQueue
-		nextWork = resumed.NextWork
-		if len(workQueue) == 0 && len(nextWork) == 0 {
-			// A final snapshot of a finished search: nothing to do.
-			return
-		}
-		if len(workQueue) == 0 {
-			// Snapshot taken at a bound barrier with the old bound's queue
-			// fully drained but the frontier not yet promoted.
-			currBound++
-			workQueue = nextWork
-			nextWork = nil
-		}
-		if maxBound >= 0 && currBound > maxBound {
-			// The end-of-budget snapshot: its frontier needs more budget than
-			// this search allows, so the restored result is already final.
-			return
-		}
-	}
-
-	for {
-		// Drain the current bound. Each popped schedule seeds a
-		// no-new-preemption depth-first exploration (the Search procedure).
-		e.BeginBound(currBound, len(workQueue))
-		if resumed != nil && currBound == resumed.Bound {
-			// The resumed bound began in an earlier process life; its
-			// eventual BoundStat must count executions from all of them.
-			e.restoreBoundBaseline(resumed.BoundStartExecs)
-		}
-		for head := 0; head < len(workQueue); head++ {
-			if e.Done() {
-				e.CaptureCheckpoint(currBound, workQueue[head:], nextWork, true)
-				return
-			}
-			e.NoteWork(head, len(workQueue))
-			e.NoteFrontier(len(workQueue) - head - 1 + len(nextWork))
-			tail := workQueue[head+1:]
-			leftover, stopped := searchNoPreempt(e, workQueue[head], currBound, &nextWork,
-				func(stack []sched.Schedule) {
-					e.CaptureCheckpoint(currBound, resumeSeeds(stack, tail), nextWork, false)
-				})
-			if stopped {
-				e.CaptureCheckpoint(currBound, resumeSeeds(leftover, tail), nextWork, true)
-				return
-			}
-		}
-		if e.Done() {
-			e.CaptureCheckpoint(currBound, nil, nextWork, true)
-			return
-		}
-		e.NoteWork(len(workQueue), len(workQueue))
-		e.NoteFrontier(len(nextWork))
-		e.SetBoundCompleted(currBound)
-		// The barrier re-anchor is semantically a no-op (the next BeginBound
-		// stores the same value); it keeps the barrier snapshot below
-		// consistent for a resume into the next bound.
-		e.restoreBoundBaseline(e.Executions())
-		if len(nextWork) == 0 {
-			e.MarkExhausted()
-			e.CaptureCheckpoint(currBound, nil, nil, true)
-			return
-		}
-		if maxBound >= 0 && currBound >= maxBound {
-			// Budget reached with work deferred: the final snapshot carries
-			// the next bound's full queue, so a resume with a higher bound
-			// can continue the same campaign.
-			e.CaptureCheckpoint(currBound+1, nextWork, nil, true)
-			return
-		}
-		currBound++
-		workQueue = nextWork
-		nextWork = nil
-		// Bound-barrier snapshot: crash recovery never loses more than the
-		// current bound's progress even when no periodic checkpoint was due.
-		e.CaptureCheckpoint(currBound, workQueue, nil, false)
-	}
-}
-
-// searchNoPreempt explores all executions reachable from the given replay
-// schedule without introducing further preemptions, pushing the executions
-// that would need one more preemption onto next.
+// CSB is pure context-switch bounding: the ablation of the paper's central
+// design choice. It enumerates executions in increasing order of TOTAL
+// context switches, preempting or not, instead of preempting switches
+// only: the same bound loop as ICB under a different cost function.
 //
-// ck, when non-nil, is invoked with the current local stack at execution
-// boundaries where a periodic checkpoint is due. When the engine stops
-// mid-drain (budget, first bug, external stop), searchNoPreempt returns the
-// unexplored remainder of the stack with stopped=true; flattened through
-// resumeSeeds it becomes the seed queue a resumed search drains in the
-// exact order this one would have.
-func searchNoPreempt(e *Engine, start sched.Schedule, bound int, next *[]sched.Schedule, ck func(stack []sched.Schedule)) (leftover []sched.Schedule, stopped bool) {
-	stack := []sched.Schedule{start}
-	for len(stack) > 0 {
-		if e.Done() {
-			return stack, true
-		}
-		if ck != nil && e.checkpointDue() {
-			ck(stack)
-		}
-		path := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		ctrl := newICBController(e, path, bound,
-			func(alt sched.Schedule) { stack = append(stack, alt) },
-			func(alt sched.Schedule) { *next = append(*next, alt) })
-		before := e.Executions()
-		out, done := e.RunExecution(ctrl)
-		if done {
-			if e.Executions() == before {
-				// The engine was already stopping and never ran the popped
-				// schedule (an external stop can land between the boundary
-				// check above and the run); put it back so the checkpoint
-				// does not lose its subtree.
-				stack = append(stack, path)
-			} else if ctrl.bpor != nil {
-				// The execution ran to completion before the stop landed;
-				// flush its buffered backtracking items so the leftover
-				// stack (and any checkpoint built from it) is complete.
-				ctrl.bporFlush()
-			}
-			return stack, true
-		}
-		finishItem(ctrl, out, bound)
-	}
-	return nil, false
+// The paper's §2 argument predicts exactly how this fails: a terminating
+// execution needs some minimum number of nonpreempting switches just to
+// let blocked threads finish (bound 0 cannot even run a second thread), so
+// the frontier grows much faster per bug found, and bugs that ICB exposes
+// at preemption bound 1 — like Dryad's Figure 3 use-after-free, whose
+// trace has 6+ nonpreempting switches — only appear at switch bounds an
+// order of magnitude higher. The ablation experiment
+// (icb-bench -exp ablate) measures both effects. Options.MaxPreemptions is
+// the switch bound; the work-item table and BPOR do not apply.
+type CSB struct{}
+
+// Name implements Strategy.
+func (CSB) Name() string { return "csb" }
+
+// Explore implements Strategy.
+func (CSB) Explore(e *Engine) { drive(e, 1, switchCost, nil) }
+
+// costModel is what makes a bound loop ICB or CSB: the price of each
+// scheduling decision. A work item's bound is the total price of its
+// decisions; the controller explores zero-cost decisions within the bound
+// and defers cost-1 decisions to the next one.
+type costModel struct {
+	// name labels invariant violations.
+	name string
+	// price is the cost, 0 or 1, of scheduling t at the point info
+	// describes.
+	price func(info sched.PickInfo, t sched.TID) int
+	// spent is the total cost of a completed execution as the scheduler
+	// counted it, checked against the bound the execution ran at.
+	spent func(out sched.Outcome) int
+	// reduces reports that the work-item table and BPOR apply: both key
+	// their pruning on preemptions spent, so only the preemption cost
+	// uses them.
+	reduces bool
 }
 
-// newICBController builds the controller that replays one work item at the
-// given bound and routes the alternatives it generates: onLocal receives
-// same-bound items, onPreempt items costing one more preemption. Shared by
-// the sequential stack drain and the parallel workers.
-func newICBController(e *Engine, path sched.Schedule, bound int, onLocal, onPreempt func(sched.Schedule)) *icbController {
-	ctrl := &icbController{
+// preemptionCost is ICB's: switching away from a still-enabled thread.
+var preemptionCost = &costModel{
+	name: "icb",
+	price: func(info sched.PickInfo, t sched.TID) int {
+		if info.PrevEnabled && t != info.Prev {
+			return 1
+		}
+		return 0
+	},
+	spent:   func(out sched.Outcome) int { return out.Preemptions },
+	reduces: true,
+}
+
+// switchCost is CSB's: any switch after the first pick, so a blocked or
+// exited thread leaves the execution no zero-cost continuation.
+var switchCost = &costModel{
+	name: "csb",
+	price: func(info sched.PickInfo, t sched.TID) int {
+		if info.Prev != sched.NoTID && t != info.Prev {
+			return 1
+		}
+		return 0
+	},
+	spent: func(out sched.Outcome) int { return out.ContextSwitches },
+}
+
+// newBoundController builds the controller that replays one work item at
+// the given bound and routes the alternatives it generates: onLocal
+// receives same-bound items, onNext items costing one more.
+func newBoundController(e *Engine, cost *costModel, path sched.Schedule, bound int, onLocal, onNext func(sched.Schedule)) *boundController {
+	ctrl := &boundController{
 		path: path,
+		cost: cost,
 		// The extension phase appends one decision per scheduling point
 		// past the replayed prefix; starting at the prefix length plus a
 		// small headroom avoids the append-regrowth copies that
 		// otherwise dominate the controller's allocations.
-		cur:       make(sched.Schedule, 0, len(path)+16),
-		cache:     e.Cache(),
-		onPreempt: onPreempt,
-		onLocal:   onLocal,
+		cur:     make(sched.Schedule, 0, len(path)+16),
+		onNext:  onNext,
+		onLocal: onLocal,
 	}
-	if b := e.BPOR(); b != nil {
-		ctrl.bpor = newBPORExec(b, bound)
+	if cost.reduces {
+		ctrl.cache = e.Cache()
+		if b := e.BPOR(); b != nil {
+			ctrl.bpor = newBPORExec(b, bound)
+		}
 	}
 	return ctrl
 }
 
 // finishItem applies the post-run bookkeeping one completed (not stopped-
-// before-running) work item needs, shared by the sequential stack drain
-// and the parallel workers: the BPOR truncation fallback and flush, and
-// the preemption-count invariant.
-func finishItem(ctrl *icbController, out sched.Outcome, bound int) {
+// before-running) work item needs: the BPOR truncation fallback and flush,
+// and the bound invariant.
+func finishItem(ctrl *boundController, out sched.Outcome, bound int) {
 	if out.Status == sched.StatusStopped {
 		// Cut by the work-item cache: the subtree was already explored,
 		// but the replayed prefix's scans may have queued backtracking
@@ -210,35 +144,38 @@ func finishItem(ctrl *icbController, out sched.Outcome, bound int) {
 		}
 		ctrl.bporFlush()
 	}
-	if out.Preemptions != bound {
+	if spent := ctrl.cost.spent(out); spent != bound {
 		// Under BPOR a backtracking work item can cost fewer preemptions
 		// than the bound being drained (reversing a race may remove the
-		// preemption the original path spent); plain ICB generates each
-		// bound's work at exactly that bound.
-		if ctrl.bpor == nil || out.Preemptions > bound {
-			panic(fmt.Sprintf("icb: execution at bound %d had %d preemptions (schedule %v)",
-				bound, out.Preemptions, out.Decisions))
+		// preemption the original path spent); without it each bound's
+		// work is generated at exactly that bound.
+		if ctrl.bpor == nil || spent > bound {
+			panic(fmt.Sprintf("%s: execution at bound %d cost %d (schedule %v)",
+				ctrl.cost.name, bound, spent, out.Decisions))
 		}
 	}
 }
 
-// icbController replays a schedule prefix and then follows the
-// no-new-preemption policy: continue the running thread while it is
-// enabled (recording the preempting alternatives), branch freely when it
-// blocks or exits (recording the local alternatives).
-type icbController struct {
+// boundController replays a schedule prefix and then follows the
+// zero-cost policy: take the first enabled thread the cost model prices
+// at zero (for ICB the running thread while it is enabled, any thread
+// once it blocks or exits), record the other zero-cost threads as local
+// alternatives and the cost-1 threads as next-bound ones, and cut the
+// execution when no zero-cost thread exists.
+type boundController struct {
 	path  sched.Schedule
 	pos   int
 	cur   sched.Schedule
+	cost  *costModel
 	cache *Cache
-	// preempts counts the preempting context switches along cur, including
-	// the replayed prefix: the work-item table is keyed by (state, decision,
-	// preemptions spent) so that paths with different remaining budgets are
-	// never merged (see the Cache soundness note).
-	preempts int
+	// spent is the cost of the decisions along cur, including the
+	// replayed prefix: the work-item table is keyed by (state, decision,
+	// preemptions spent) so that paths with different remaining budgets
+	// are never merged (see the Cache soundness note).
+	spent int
 
-	onPreempt func(sched.Schedule)
-	onLocal   func(sched.Schedule)
+	onNext  func(sched.Schedule)
+	onLocal func(sched.Schedule)
 
 	// bpor, when non-nil, activates bounded partial-order reduction for
 	// this execution: sleep sets and targeted backtracking replace the
@@ -255,26 +192,26 @@ type icbController struct {
 
 // markExplore stamps the replay→explore transition on the first
 // extension-phase decision of a profiled execution.
-func (c *icbController) markExplore() {
+func (c *boundController) markExplore() {
 	if c.profClock && c.replayDoneAt.IsZero() {
 		c.replayDoneAt = time.Now()
 	}
 }
 
-// take registers the decision about to be taken at p spent preemptions; a
-// false result cuts the execution (the Algorithm 1 table guard).
-func (c *icbController) take(d sched.Decision, p int) bool {
+// take registers the decision about to be taken at p spent; a false
+// result cuts the execution (the Algorithm 1 table guard).
+func (c *boundController) take(d sched.Decision, p int) bool {
 	return c.cache == nil || c.cache.TryTake(d, p)
 }
 
-// push reports whether an alternative at p spent preemptions should be
-// enqueued (skipping duplicates already registered in the table).
-func (c *icbController) push(d sched.Decision, p int) bool {
+// push reports whether an alternative at p spent should be enqueued
+// (skipping duplicates already registered in the table).
+func (c *boundController) push(d sched.Decision, p int) bool {
 	return c.cache == nil || c.cache.TryTake(d, p)
 }
 
 // PickThread implements sched.Controller.
-func (c *icbController) PickThread(info sched.PickInfo) (sched.TID, bool) {
+func (c *boundController) PickThread(info sched.PickInfo) (sched.TID, bool) {
 	if c.pos < len(c.path) {
 		d := c.path[c.pos]
 		c.pos++
@@ -285,13 +222,11 @@ func (c *icbController) PickThread(info sched.PickInfo) (sched.TID, bool) {
 			panic(&sched.ReplayError{Pos: c.pos - 1, Want: d, Got: fmt.Sprintf("enabled set %v", info.Enabled)})
 		}
 		if c.bpor != nil {
-			// Before the preemption increment: recorded point costs are the
+			// Before the cost increment: recorded point costs are the
 			// preemptions spent before this decision.
 			c.bporReplayThread(info, d.Thread)
 		}
-		if info.PrevEnabled && d.Thread != info.Prev {
-			c.preempts++ // replayed preempting switch (Appendix A)
-		}
+		c.spent += c.cost.price(info, d.Thread)
 		c.cur = append(c.cur, d)
 		if c.bpor != nil {
 			c.bpor.note(d)
@@ -302,30 +237,41 @@ func (c *icbController) PickThread(info sched.PickInfo) (sched.TID, bool) {
 	if c.bpor != nil {
 		return c.bporExtendThread(info)
 	}
-	if info.PrevEnabled {
-		// Lines 26–32 of Algorithm 1: the running thread continues;
-		// scheduling any other enabled thread costs a preemption and is
-		// deferred to the next bound.
-		if !c.take(sched.ThreadDecision(info.Prev), c.preempts) {
-			return sched.NoTID, false
+	// Lines 26–37 of Algorithm 1: under ICB the running thread continues
+	// while it is enabled and every other thread costs a preemption,
+	// deferred to the next bound; once it yields (blocks or exits) every
+	// enabled thread is free and explored within the current bound.
+	pick := sched.NoTID
+	for _, u := range info.Enabled {
+		if c.cost.price(info, u) == 0 {
+			pick = u
+			break
 		}
+	}
+	if pick == sched.NoTID {
+		// Every continuation costs one more than this execution may
+		// spend: defer them all and cut.
 		for _, u := range info.Enabled {
-			if u != info.Prev && c.push(sched.ThreadDecision(u), c.preempts+1) {
-				c.onPreempt(c.cur.Extend(sched.ThreadDecision(u)))
+			if c.push(sched.ThreadDecision(u), c.spent+1) {
+				c.onNext(c.cur.Extend(sched.ThreadDecision(u)))
 			}
 		}
-		c.cur = append(c.cur, sched.ThreadDecision(info.Prev))
-		return info.Prev, true
-	}
-	// Lines 33–37: the running thread yielded (blocked or exited); all
-	// enabled threads are explored within the current bound.
-	pick := info.Enabled[0]
-	if !c.take(sched.ThreadDecision(pick), c.preempts) {
 		return sched.NoTID, false
 	}
-	for _, u := range info.Enabled[1:] {
-		if c.push(sched.ThreadDecision(u), c.preempts) {
-			c.onLocal(c.cur.Extend(sched.ThreadDecision(u)))
+	if !c.take(sched.ThreadDecision(pick), c.spent) {
+		return sched.NoTID, false
+	}
+	for _, u := range info.Enabled {
+		if u == pick {
+			continue
+		}
+		cost := c.cost.price(info, u)
+		if c.push(sched.ThreadDecision(u), c.spent+cost) {
+			if cost == 0 {
+				c.onLocal(c.cur.Extend(sched.ThreadDecision(u)))
+			} else {
+				c.onNext(c.cur.Extend(sched.ThreadDecision(u)))
+			}
 		}
 	}
 	c.cur = append(c.cur, sched.ThreadDecision(pick))
@@ -334,7 +280,7 @@ func (c *icbController) PickThread(info sched.PickInfo) (sched.TID, bool) {
 
 // PickData implements sched.Controller: data choices branch within the
 // current bound (they are not context switches).
-func (c *icbController) PickData(t sched.TID, n int) int {
+func (c *boundController) PickData(t sched.TID, n int) int {
 	if c.pos < len(c.path) {
 		d := c.path[c.pos]
 		c.pos++
@@ -352,9 +298,9 @@ func (c *icbController) PickData(t sched.TID, n int) int {
 	// thread decision, so registering value 0 cannot fail; register it so
 	// other paths reaching an equivalent state are cut at their preceding
 	// thread pick.
-	c.take(sched.DataDecision(0), c.preempts)
+	c.take(sched.DataDecision(0), c.spent)
 	for v := 1; v < n; v++ {
-		if c.push(sched.DataDecision(v), c.preempts) {
+		if c.push(sched.DataDecision(v), c.spent) {
 			c.onLocal(c.cur.Extend(sched.DataDecision(v)))
 		}
 	}

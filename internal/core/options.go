@@ -57,13 +57,16 @@ type Options struct {
 	// set shrinks while the per-bound trace coverage — and with it the bug
 	// set, the ExecutionClasses count and the minimal-preemption first
 	// sighting — is preserved; exact per-bound execution counts are not
-	// (Theorem 1 counting experiments run with BPOR off). Ignored by
-	// non-ICB strategies.
+	// (Theorem 1 counting experiments run with BPOR off). Ignored under CSB
+	// (its switch cost is not the preemption cost the reduction's
+	// backtracking prices) and by the baseline strategies.
 	BPOR bool
 	// StateCache enables the work-item table of Algorithm 1 (see Cache):
 	// subtrees rooted at already-visited (state, decision) pairs are pruned.
 	// Indispensable for exhaustive coverage runs; leave off when exact
 	// per-bound execution counts are needed (Theorem 1 validation).
+	// Ignored under CSB, whose table keys would need switches spent
+	// rather than preemptions.
 	StateCache bool
 	// Sink receives the structured event stream of the search (package obs).
 	// nil (the default) disables emission entirely; the engine then pays a

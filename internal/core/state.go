@@ -15,14 +15,17 @@ import (
 // states are 64-bit fingerprints, and no scheduler or heap state needs
 // capturing because every execution restarts from the initial state.
 //
-// A sequential search resumed from a SearchState produces a Result
-// identical to the uninterrupted run's (up to wall-clock durations): the
-// seed queue preserves the exact exploration order, the restored work-item
-// table prunes exactly what the original process would have pruned, and
-// the restored coverage sets continue the same counters. A parallel search
-// resumed from a barrier (or stop-point) snapshot preserves the bug set,
-// BoundCompleted and the state/class counts; execution order within a
-// bound is nondeterministic across worker counts either way.
+// Every worker count writes the same schema, and a snapshot from any
+// worker count resumes at any other. A 1-worker search resumed from a
+// 1-worker snapshot produces a Result identical to the uninterrupted
+// run's (up to wall-clock durations): the seed queue preserves the exact
+// exploration order, the restored work-item table prunes exactly what the
+// original process would have pruned, and the restored coverage sets
+// continue the same counters. Any other combination preserves the
+// deterministic outputs of an uncached search (bug set with minimal
+// preemptions, Executions, States, ExecutionClasses, BoundCompleted,
+// Exhausted); execution order within a bound is nondeterministic across
+// worker counts either way.
 type SearchState struct {
 	// Bound is the preemption bound being drained when the snapshot was
 	// taken; the resumed search re-enters Algorithm 1's loop at this bound.
@@ -31,11 +34,12 @@ type SearchState struct {
 	// (possibly in an earlier process life), so the resumed bound's
 	// BoundStat counts executions from every life it spanned.
 	BoundStartExecs int `json:"bound_start_execs"`
-	// SeedQueue holds the current bound's remaining work items in exact
-	// drain order: the in-progress seed's local no-preempt stack (top
+	// SeedQueue holds the current bound's remaining work items in drain
+	// order: for one worker, the in-progress seed's local stack (top
 	// first) followed by the untouched tail of the bound's queue.
 	SeedQueue []sched.Schedule `json:"seed_queue"`
-	// NextWork holds the work items already deferred to bound Bound+1.
+	// NextWork holds the work items already deferred to bound Bound+1, in
+	// the order they were generated.
 	NextWork []sched.Schedule `json:"next_work,omitempty"`
 	// Result is the accumulated exploration result so far (durations are
 	// the old process's and keep growing after resume).
@@ -64,16 +68,14 @@ type SearchState struct {
 	// suppressed/emitted, sleep-blocked runs) across a resume, so pruned
 	// totals keep accumulating instead of restarting at zero.
 	BPORCounters *BPORCounters `json:"bpor_counters,omitempty"`
-	// Scheduler tags the scheduler version that captured the snapshot:
-	// empty for the sequential drain, SchedulerWS for the work-stealing
-	// parallel search. The two carry different frontier invariants (the
-	// stealing search's softened barrier keeps up to three bounds live and
-	// holds back early bug sightings), so ValidateResumeWorkers rejects
-	// mixing them. All fields below are zero on sequential snapshots, which
-	// therefore serialize byte-identically to the pre-stealing schema.
+	// Scheduler tags the schema version of the frontier fields below:
+	// SchedulerWS on every snapshot the search driver writes. Empty marks
+	// a snapshot of the earlier sequential drain, which carried none of
+	// them; it resumes with DoneExecs taken as Executions - BoundStartExecs.
 	Scheduler string `json:"scheduler,omitempty"`
 	// NextWork2 holds work items already deferred to bound Bound+2 by
-	// workers that ran ahead of the softened barrier into bound Bound+1.
+	// workers that ran ahead of the softened barrier into bound Bound+1
+	// (always empty with one worker).
 	NextWork2 []sched.Schedule `json:"next_work2,omitempty"`
 	// Held carries early bug sightings whose bound had not retired when the
 	// snapshot was taken; a resumed search files them when their bound
@@ -82,13 +84,13 @@ type SearchState struct {
 	// DoneExecs is the number of executions attributed to bound Bound so
 	// far (across every process life); EarlyExecs the same for Bound+1
 	// (consumed early through the softened barrier). They restore the
-	// stealing search's exhaustion and per-bound attribution counters.
+	// search's exhaustion and per-bound attribution counters.
 	DoneExecs  int `json:"done_execs,omitempty"`
 	EarlyExecs int `json:"early_execs,omitempty"`
 }
 
-// SchedulerWS is the SearchState.Scheduler tag of the work-stealing
-// parallel scheduler (bumped if its frontier invariants ever change).
+// SchedulerWS is the SearchState.Scheduler tag of the search driver's
+// snapshot schema (bumped if its frontier invariants ever change).
 const SchedulerWS = "ws/1"
 
 // HeldBug is one early bug sighting held back by the softened bound
@@ -123,13 +125,15 @@ type CacheKeyState struct {
 }
 
 // CheckpointSink receives search-state snapshots from a running
-// exploration. Implemented by journal.Writer; the engine calls it
-// synchronously from the exploring goroutine, so implementations may
-// retain the snapshot without copying until Capture returns.
+// exploration. Implemented by journal.Writer; the search calls Capture
+// synchronously at a safepoint, with every worker quiescent, so
+// implementations may retain the snapshot without copying until Capture
+// returns.
 type CheckpointSink interface {
 	// Due reports that a periodic checkpoint should be captured at the
-	// next execution boundary. It is called once per execution boundary
-	// and must be cheap (one atomic load).
+	// next execution boundary. It is called once per execution boundary,
+	// concurrently by the workers of a parallel search, and must be cheap
+	// (one atomic load).
 	Due() bool
 	// Capture persists one snapshot. final marks snapshots taken because
 	// the search is stopping (signal, budget, first bug) — the last state
@@ -143,32 +147,25 @@ func (e *Engine) checkpointDue() bool {
 	return e.opt.Checkpoint != nil && e.opt.Checkpoint.Due()
 }
 
-// CaptureCheckpoint exports the search state and hands it to the attached
-// checkpoint sink. seeds must be the current bound's remaining work items
-// in drain order; next the items deferred to the following bound. A no-op
-// without a sink. Strategies call it at execution boundaries (when due),
-// at bound barriers, and once more when stopping (final). A matching
+// captureState hands one snapshot to the attached checkpoint sink. The
+// search driver calls it at execution boundaries (when due), at bound
+// barriers, and once more when stopping (final). A matching
 // obs.CheckpointEvent goes to the event sink so live surfaces (progress,
 // dashboard) see snapshots happen; the journal writer logs its own richer
 // record from Capture and ignores the event.
-func (e *Engine) CaptureCheckpoint(bound int, seeds, next []sched.Schedule, final bool) {
-	cs := e.opt.Checkpoint
-	if cs == nil {
-		return
-	}
-	st := e.exportState(bound, seeds, next)
-	cs.Capture(st, final)
+func (e *Engine) captureState(st *SearchState, final bool) {
+	e.opt.Checkpoint.Capture(st, final)
 	e.ckptSeq++
 	if e.sink != nil {
 		e.sink.Checkpoint(obs.CheckpointEvent{
 			Seq:        e.ckptSeq,
-			Bound:      bound,
+			Bound:      st.Bound,
 			Executions: st.Result.Executions,
 			States:     len(st.States),
 			Classes:    len(st.Classes),
 			Bugs:       len(st.Result.Bugs),
-			SeedQueue:  len(seeds),
-			NextWork:   len(next),
+			SeedQueue:  len(st.SeedQueue),
+			NextWork:   len(st.NextWork),
 			Scheduler:  st.Scheduler,
 			NextWork2:  len(st.NextWork2),
 			HeldBugs:   len(st.Held),
@@ -177,18 +174,16 @@ func (e *Engine) CaptureCheckpoint(bound int, seeds, next []sched.Schedule, fina
 	}
 }
 
-// exportState builds the serializable snapshot of this engine at an
-// execution boundary. The fingerprint sets are sorted so that identical
-// search states serialize to identical bytes.
-func (e *Engine) exportState(bound int, seeds, next []sched.Schedule) *SearchState {
+// exportState builds the engine's part of a snapshot at an execution
+// boundary: result, coverage sets, work-item table and BPOR state; the
+// search driver adds the frontier. The fingerprint sets are sorted so
+// that identical search states serialize to identical bytes.
+func (e *Engine) exportState() *SearchState {
 	st := &SearchState{
-		Bound:           bound,
-		BoundStartExecs: e.boundStartExecs,
-		SeedQueue:       seeds,
-		NextWork:        next,
-		Result:          e.res,
-		States:          sortedU64(e.states.Elems()),
-		Classes:         sortedU64(e.classes.Elems()),
+		Result:    e.res,
+		States:    sortedU64(e.states.Elems()),
+		Classes:   sortedU64(e.classes.Elems()),
+		Scheduler: SchedulerWS,
 	}
 	if e.cache != nil {
 		st.CacheKeys = e.cache.export()
@@ -200,11 +195,6 @@ func (e *Engine) exportState(bound int, seeds, next []sched.Schedule) *SearchSta
 		st.BPORSeen = e.bpor.export()
 		st.BPORCounters = e.bpor.exportCounters()
 	}
-	st.Scheduler = e.scheduler
-	st.NextWork2 = e.ckptNext2
-	st.Held = e.ckptHeld
-	st.DoneExecs = e.ckptDoneExecs
-	st.EarlyExecs = e.ckptEarlyExecs
 	return st
 }
 
@@ -241,9 +231,11 @@ func (e *Engine) importState(st *SearchState) {
 	}
 }
 
-// restoreBoundBaseline re-anchors the per-bound execution baseline after a
-// mid-bound resume, so the bound's eventual BoundStat counts executions
-// from every process life it spanned (its Duration only covers this one).
+// restoreBoundBaseline re-anchors the per-bound execution baseline to the
+// executions attributed to earlier bounds, so a bound's BoundStat counts
+// exactly its own executions: from every process life it spanned after a
+// mid-bound resume (its Duration only covers this one), and not the next
+// bound's early ones.
 func (e *Engine) restoreBoundBaseline(execs int) {
 	e.boundStartExecs = execs
 }
@@ -282,38 +274,7 @@ func ValidateResume(st *SearchState, opt Options) error {
 	return nil
 }
 
-// ValidateResumeWorkers rejects snapshots from a mixed scheduler version:
-// a work-stealing frontier (up to three live bounds, held-back sightings)
-// cannot resume into the sequential drain, and a sequential frontier
-// cannot resume into the stealing search — each would silently violate the
-// other's invariants. workers is the resolved worker count about to run.
-func ValidateResumeWorkers(st *SearchState, workers int) error {
-	if st == nil {
-		return nil
-	}
-	if workers > 1 && st.Scheduler != SchedulerWS {
-		return fmt.Errorf("core: resume state was captured by the sequential scheduler but the search runs with %d workers (mixed scheduler versions; resume with -workers 1)", workers)
-	}
-	if workers <= 1 && st.Scheduler == SchedulerWS {
-		return fmt.Errorf("core: resume state was captured by the work-stealing scheduler but the search runs sequentially (mixed scheduler versions; resume with -workers > 1)")
-	}
-	return nil
-}
-
 func sortedU64(s []uint64) []uint64 {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	return s
-}
-
-// resumeSeeds flattens an interrupted no-preempt exploration into FIFO
-// seed order: the local stack is popped last-in-first-out and every item's
-// subtree is fully drained before the item below it, so reversing the
-// stack into a queue of independent seeds reproduces the exact exploration
-// order the uninterrupted search would have followed.
-func resumeSeeds(stack, tail []sched.Schedule) []sched.Schedule {
-	out := make([]sched.Schedule, 0, len(stack)+len(tail))
-	for i := len(stack) - 1; i >= 0; i-- {
-		out = append(out, stack[i])
-	}
-	return append(out, tail...)
 }

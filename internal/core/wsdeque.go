@@ -21,11 +21,13 @@ import (
 // freed while a thief may still read it (the garbage collector is the
 // memory-reclamation scheme, which is what makes the textbook algorithm
 // safe to port directly). Slots hold *sched.Schedule so concurrent reads
-// of recycled slots are single-word atomic loads.
+// of recycled slots are single-word atomic loads; the owner boxes pushed
+// schedules in slabs, so a push costs no allocation of its own.
 type wsDeque struct {
 	top    atomic.Int64
 	bottom atomic.Int64
 	buf    atomic.Pointer[wsBuf]
+	slab   []sched.Schedule // owner only
 }
 
 // wsBuf is one immutable-size circular buffer generation of a deque.
@@ -37,6 +39,9 @@ type wsBuf struct {
 // wsDequeInitialSize is the initial slot count (must be a power of two).
 // Bounds with more queued work grow by doubling.
 const wsDequeInitialSize = 64
+
+// wsSlabSize is the number of schedule boxes allocated at once.
+const wsSlabSize = 64
 
 func newWSDeque() *wsDeque {
 	d := &wsDeque{}
@@ -55,8 +60,11 @@ func (d *wsDeque) push(s sched.Schedule) {
 	if b-t >= int64(len(buf.items))-1 {
 		buf = d.grow(buf, t, b)
 	}
-	sc := s
-	buf.items[b&buf.mask].Store(&sc)
+	if len(d.slab) == cap(d.slab) {
+		d.slab = make([]sched.Schedule, 0, wsSlabSize)
+	}
+	d.slab = append(d.slab, s)
+	buf.items[b&buf.mask].Store(&d.slab[len(d.slab)-1])
 	d.bottom.Store(b + 1)
 }
 
@@ -72,16 +80,19 @@ func (d *wsDeque) pop() (sched.Schedule, bool) {
 		return nil, false
 	}
 	buf := d.buf.Load()
-	it := buf.items[b&buf.mask].Load()
-	if t != b {
-		return *it, true
+	slot := &buf.items[b&buf.mask]
+	it := slot.Load()
+	if t == b {
+		// Last item: win it from any concurrent thief or lose it to one.
+		won := d.top.CompareAndSwap(t, t+1)
+		d.bottom.Store(t + 1)
+		if !won {
+			return nil, false
+		}
 	}
-	// Last item: win it from any concurrent thief or lose it to one.
-	won := d.top.CompareAndSwap(t, t+1)
-	d.bottom.Store(t + 1)
-	if !won {
-		return nil, false
-	}
+	// No thief can reach index b any more; drop the slot's reference so a
+	// popped schedule does not outlive its execution.
+	slot.Store(nil)
 	return *it, true
 }
 
@@ -141,4 +152,18 @@ func (d *wsDeque) snapshotQuiesced() []sched.Schedule {
 		out = append(out, *buf.items[i&buf.mask].Load())
 	}
 	return out
+}
+
+// reverseQuiesced reverses the queued items in place, so the owner pops
+// them in the order they were pushed. Callers must hold the search's
+// safepoint.
+func (d *wsDeque) reverseQuiesced() {
+	t, b := d.top.Load(), d.bottom.Load()
+	buf := d.buf.Load()
+	for i, j := t, b-1; i < j; i, j = i+1, j-1 {
+		x, y := &buf.items[i&buf.mask], &buf.items[j&buf.mask]
+		xv, yv := x.Load(), y.Load()
+		x.Store(yv)
+		y.Store(xv)
+	}
 }

@@ -49,18 +49,6 @@ func WriteCSV(dir string, cfg Config) error {
 		return err
 	}
 
-	f1, err := Fig1Data(cfg)
-	if err != nil {
-		return err
-	}
-	rows = [][]string{{"bound", "percent", "states"}}
-	for _, p := range f1 {
-		rows = append(rows, []string{itoa(p.Bound), fmt.Sprintf("%.2f", p.Percent), itoa(p.States)})
-	}
-	if err := writeCSVFile(dir, "fig1.csv", rows); err != nil {
-		return err
-	}
-
 	for name, data := range map[string][]series{
 		"fig2.csv": Fig2Data(cfg),
 		"fig5.csv": Fig5Data(cfg),
@@ -75,6 +63,21 @@ func WriteCSV(dir string, cfg Config) error {
 	if err != nil {
 		return err
 	}
+	// Figure 1 is Figure 4's work-stealing-queue series: the same sweep of
+	// the same program.
+	rows = [][]string{{"bound", "percent", "states"}}
+	for _, s := range f4 {
+		if s.Name != "Work Stealing Queue" {
+			continue
+		}
+		for _, p := range s.Points {
+			rows = append(rows, []string{itoa(p.Bound), fmt.Sprintf("%.2f", p.Percent), itoa(p.States)})
+		}
+	}
+	if err := writeCSVFile(dir, "fig1.csv", rows); err != nil {
+		return err
+	}
+
 	rows = [][]string{{"bound"}}
 	for _, s := range f4 {
 		rows[0] = append(rows[0], s.Name)

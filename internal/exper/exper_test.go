@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -93,15 +94,26 @@ func TestFig1ShapeSmall(t *testing.T) {
 	assertCoverageShape(t, points, 10)
 }
 
+// fig4Once shares one Figure 4 computation between TestFig1ShapeFull and
+// TestFig4Shape: Figure 1 is Figure 4's work-stealing-queue series, and
+// the sweep behind it is the package's most expensive.
+var fig4Once = sync.OnceValues(func() ([]Fig4Series, error) { return Fig4Data(Config{}) })
+
 func TestFig1ShapeFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full work-stealing-queue sweep takes ~30s")
 	}
-	points, err := Fig1Data(Config{})
+	data, err := fig4Once()
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertCoverageShape(t, points, 10)
+	for _, s := range data {
+		if s.Name == "Work Stealing Queue" {
+			assertCoverageShape(t, s.Points, 10)
+			return
+		}
+	}
+	t.Fatal("Figure 4 has no work-stealing-queue series")
 }
 
 // assertCoverageShape checks the paper's Figure 1/4 claims: coverage is
@@ -133,7 +145,7 @@ func TestFig4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweeps take ~40s")
 	}
-	data, err := Fig4Data(Config{})
+	data, err := fig4Once()
 	if err != nil {
 		t.Fatal(err)
 	}

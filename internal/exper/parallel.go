@@ -35,7 +35,7 @@ type ParallelRow struct {
 	// Steals / StealFails total the work-stealing traffic over all workers:
 	// successful thefts of another worker's queued item, and sweeps of every
 	// peer deque that came back empty-handed. On the 1-worker row both are 0
-	// (the row delegates to the sequential search).
+	// (one worker runs the search inline and has no peer to steal from).
 	Steals     int64 `json:"steals"`
 	StealFails int64 `json:"steal_fails"`
 	// IdleNS totals the time workers spent parked waiting for work to

@@ -367,8 +367,8 @@ func (c *checker) checkCSB(dfsRes *core.Result) {
 }
 
 // checkParallel cross-checks the work-stealing ParallelICB at 2 and 4
-// workers against both the brute-force oracle and 1-worker (which
-// delegates to the sequential ICB): identical execution counts, coverage,
+// workers against both the brute-force oracle and 1 worker (the same loop
+// run inline, in sequential order): identical execution counts, coverage,
 // exhaustion and fine-grained bug sets regardless of worker count, and —
 // against the oracle — the exact bug set with each defect first sighted at
 // its true minimal preemption count.
@@ -566,10 +566,11 @@ func (c *checker) checkBPOR(icbRes *core.Result) {
 	// interleaving-dependent, but the deterministic outcomes — bug set,
 	// sightings, classes, exhaustion — must hold at any worker count, and
 	// the bug set must still be exactly the oracle's.
+	pprog := c.spec.Program(nil) // workers run the program concurrently: no shared sink cell
 	for _, w := range []int{2, 4} {
 		popt := c.baseOpts()
 		popt.BPOR = true
-		pres := c.explore(prog, core.ParallelICB{Workers: w}, popt, prop)
+		pres := c.explore(pprog, core.ParallelICB{Workers: w}, popt, prop)
 		if pres == nil {
 			continue
 		}

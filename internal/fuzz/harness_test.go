@@ -225,7 +225,8 @@ func (s skippingICB) Explore(e *core.Engine) {
 	}
 }
 
-// faultySearch is searchNoPreempt without the work-item cache.
+// faultySearch drains one seed's no-new-preemption subtree (Algorithm 1's
+// Search) without the work-item cache.
 func faultySearch(e *core.Engine, start sched.Schedule, next *[]sched.Schedule) {
 	stack := []sched.Schedule{start}
 	for len(stack) > 0 {

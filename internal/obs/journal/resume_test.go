@@ -2,6 +2,9 @@ package journal
 
 import (
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strconv"
@@ -273,9 +276,6 @@ func TestParallelResumeEveryBoundary(t *testing.T) {
 		}
 		ropt := wsqOptions()
 		ropt.Resume = &st
-		if err := core.ValidateResumeWorkers(&st, par.NumWorkers()); err != nil {
-			t.Fatalf("n=%d: snapshot rejected: %v", n, err)
-		}
 		got := core.Explore(prog, par, ropt)
 
 		if got.Executions != ref.Executions {
@@ -304,6 +304,127 @@ func TestParallelResumeEveryBoundary(t *testing.T) {
 
 func itoa(n int) string { return strconv.Itoa(n) }
 
+// deterministicFacts projects an uncached full drain onto the outputs
+// every worker count and every resume must reproduce: the bug set with
+// per-bug minimal preemption and sighting counts, Executions, States,
+// ExecutionClasses, BoundCompleted and Exhausted.
+func deterministicFacts(res core.Result) string {
+	var bugs []string
+	for i := range res.Bugs {
+		b := &res.Bugs[i]
+		bugs = append(bugs, b.Kind.String()+"|"+b.Message+"|p="+itoa(b.Preemptions)+"|n="+itoa(b.Count))
+	}
+	sort.Strings(bugs)
+	return fmt.Sprintf("execs=%d states=%d classes=%d bound=%d exhausted=%v bugs=%q",
+		res.Executions, res.States, res.ExecutionClasses, res.BoundCompleted, res.Exhausted, bugs)
+}
+
+// resumeAt resumes a serialized snapshot at the given worker count.
+func resumeAt(t *testing.T, prog sched.Program, js []byte, workers int) core.Result {
+	t.Helper()
+	var st core.SearchState
+	if err := json.Unmarshal(js, &st); err != nil {
+		t.Fatalf("snapshot does not round-trip: %v", err)
+	}
+	opt := wsqOptions()
+	opt.Resume = &st
+	if err := core.ValidateResume(&st, opt); err != nil {
+		t.Fatalf("snapshot rejected: %v", err)
+	}
+	return core.Explore(prog, core.ParallelICB{Workers: workers}, opt)
+}
+
+// TestCrossWorkerResume: a snapshot from any worker count resumes at any
+// other with the uninterrupted run's deterministic outputs. Stop
+// snapshots of a 2-worker run at several execution counts resume at 1 and
+// 4 workers, a 1-worker run's resume at 2, and the periodic mid-bound
+// snapshots a 2-worker run takes at its safepoints resume at 1.
+func TestCrossWorkerResume(t *testing.T) {
+	prog := wsqStealUnlocked(t)
+	want := deterministicFacts(core.Explore(prog, core.ICB{}, wsqOptions()))
+	if par := deterministicFacts(core.Explore(prog, core.ParallelICB{Workers: 2}, wsqOptions())); par != want {
+		t.Fatalf("uninterrupted 2-worker run %s, 1-worker %s", par, want)
+	}
+
+	for _, c := range []struct {
+		from int
+		to   []int
+	}{{2, []int{1, 4}}, {1, []int{2}}} {
+		for _, n := range []int{5, 20, 60, 100, 150} {
+			cs := &capSink{}
+			stop := &atomic.Bool{}
+			opt := wsqOptions()
+			opt.Checkpoint = cs
+			opt.Stop = stop
+			opt.Sink = &stopAfter{n: n, stop: stop}
+			core.Explore(prog, core.ParallelICB{Workers: c.from}, opt)
+			if len(cs.snaps) == 0 || !cs.finals[len(cs.snaps)-1] {
+				t.Fatalf("%d workers, n=%d: no final snapshot captured", c.from, n)
+			}
+			for _, to := range c.to {
+				if got := deterministicFacts(resumeAt(t, prog, cs.snaps[len(cs.snaps)-1], to)); got != want {
+					t.Errorf("%d-worker stop snapshot at n=%d resumed at %d workers:\n got %s\nwant %s", c.from, n, to, got, want)
+				}
+			}
+		}
+	}
+
+	// Periodic snapshots: the sink is always due, so the 2-worker run
+	// summons a safepoint from every execution boundary its workers reach.
+	// Beyond the three bound-barrier snapshots, the non-final ones are
+	// periodic mid-bound snapshots.
+	cs := &capSink{}
+	opt := wsqOptions()
+	opt.Checkpoint = cs
+	core.Explore(prog, core.ParallelICB{Workers: 2}, opt)
+	var mid []int
+	for i := range cs.snaps {
+		if !cs.finals[i] {
+			mid = append(mid, i)
+		}
+	}
+	if len(mid) <= 3 {
+		t.Fatalf("2-worker run took %d non-final snapshots, want periodic mid-bound ones beyond the 3 bound barriers", len(mid))
+	}
+	step := max(1, len(mid)/12)
+	for k := 0; k < len(mid); k += step {
+		i := mid[k]
+		if got := deterministicFacts(resumeAt(t, prog, cs.snaps[i], 1)); got != want {
+			t.Errorf("2-worker snapshot %d resumed at 1 worker:\n got %s\nwant %s", i, got, want)
+		}
+	}
+}
+
+// TestResumeEarlierSnapshots resumes snapshots written before the driver
+// unification: resume_seq.json by the sequential drain (empty scheduler
+// tag, stopped mid-bound 1) and resume_ws1.json by the 2-worker stealing
+// search (stopped with bound 0 unretired, bound-1 items run early and
+// bound-2 items queued). Both resume at any worker count to the
+// uninterrupted run's deterministic outputs, and the sequential one at 1
+// worker to its exact Result.
+func TestResumeEarlierSnapshots(t *testing.T) {
+	prog := wsqStealUnlocked(t)
+	ref := normalize(core.Explore(prog, core.ICB{}, wsqOptions()))
+	want := deterministicFacts(ref)
+	for _, name := range []string{"resume_seq.json", "resume_ws1.json"} {
+		js, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2} {
+			got := resumeAt(t, prog, js, w)
+			if f := deterministicFacts(got); f != want {
+				t.Errorf("%s at %d workers:\n got %s\nwant %s", name, w, f, want)
+			}
+			if name == "resume_seq.json" && w == 1 {
+				if got := normalize(got); !reflect.DeepEqual(got, ref) {
+					t.Errorf("%s at 1 worker diverged from the uninterrupted run:\n got %+v\nwant %+v", name, got, ref)
+				}
+			}
+		}
+	}
+}
+
 // TestValidateResumeRejections spot-checks the structural guards.
 func TestValidateResumeRejections(t *testing.T) {
 	opt := wsqOptions()
@@ -325,17 +446,5 @@ func TestValidateResumeRejections(t *testing.T) {
 	opt = wsqOptions()
 	if err := core.ValidateResume(&core.SearchState{Bound: 1, Scheduler: "ws/99"}, opt); err == nil {
 		t.Error("unknown scheduler version accepted")
-	}
-	if err := core.ValidateResumeWorkers(&core.SearchState{Bound: 1, Scheduler: core.SchedulerWS}, 1); err == nil {
-		t.Error("work-stealing snapshot accepted by a sequential resume")
-	}
-	if err := core.ValidateResumeWorkers(&core.SearchState{Bound: 1}, 4); err == nil {
-		t.Error("sequential snapshot accepted by a parallel resume")
-	}
-	if err := core.ValidateResumeWorkers(&core.SearchState{Bound: 1, Scheduler: core.SchedulerWS}, 4); err != nil {
-		t.Errorf("matching work-stealing resume rejected: %v", err)
-	}
-	if err := core.ValidateResumeWorkers(&core.SearchState{Bound: 1}, 1); err != nil {
-		t.Errorf("matching sequential resume rejected: %v", err)
 	}
 }

@@ -78,8 +78,8 @@ const numBuckets = 48
 
 // DefaultSampleEvery is the sampling period of the per-step phases when
 // the caller does not choose one: the sampled observers run on one
-// execution in eight.
-const DefaultSampleEvery = 8
+// execution in thirty-two.
+const DefaultSampleEvery = 32
 
 // workerCounters is one worker's contention slot, padded to its own cache
 // line so concurrent workers do not false-share.

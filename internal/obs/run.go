@@ -105,14 +105,14 @@ type CheckpointEvent struct {
 	// current-bound seeds and deferred next-bound items.
 	SeedQueue int `json:"seed_queue"`
 	NextWork  int `json:"next_work,omitempty"`
-	// Scheduler identifies the scheduler that wrote the snapshot when it
-	// is not the sequential default (v6: "ws/1" for the work-stealing
-	// parallel search; a ws snapshot only resumes under -workers > 1).
+	// Scheduler is the snapshot's schema version (v6: "ws/1", written at
+	// every worker count; a snapshot from any worker count resumes at any
+	// other).
 	Scheduler string `json:"scheduler,omitempty"`
 	// NextWork2 and HeldBugs are the work-stealing search's extra in-flight
 	// state (v6): items already deferred two bounds ahead by early
 	// next-bound executions, and fresh bug sightings held back until their
-	// bound retires. Both 0 on sequential snapshots.
+	// bound retires. Both 0 with one worker.
 	NextWork2 int `json:"next_work2,omitempty"`
 	HeldBugs  int `json:"held_bugs,omitempty"`
 	// Final marks the run's last snapshot (stop, budget, completion).

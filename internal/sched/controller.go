@@ -84,18 +84,21 @@ func ThreadDecision(t TID) Decision { return Decision{Kind: DecisionThread, Thre
 func DataDecision(v int) Decision { return Decision{Kind: DecisionData, Data: v} }
 
 // String renders the decision compactly ("t3" or "d2").
-func (d Decision) String() string {
+func (d Decision) String() string { return string(d.appendTo(nil)) }
+
+// appendTo appends the decision's compact form ("t3", "d2") to b.
+func (d Decision) appendTo(b []byte) []byte {
 	if d.Kind == DecisionThread {
-		return fmt.Sprintf("t%d", d.Thread)
+		return strconv.AppendInt(append(b, 't'), int64(d.Thread), 10)
 	}
-	return fmt.Sprintf("d%d", d.Data)
+	return strconv.AppendInt(append(b, 'd'), int64(d.Data), 10)
 }
 
 // MarshalJSON renders the decision as its compact string form ("t3",
 // "d2"), so a marshaled Schedule is a JSON array of short strings — the
 // on-disk decision format of repro bundles (package obs/repro).
 func (d Decision) MarshalJSON() ([]byte, error) {
-	return json.Marshal(d.String())
+	return append(d.appendTo([]byte{'"'}), '"'), nil
 }
 
 // UnmarshalJSON parses the compact string form back into a decision.
@@ -138,9 +141,27 @@ func (s Schedule) String() string {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = append(b, d.String()...)
+		b = d.appendTo(b)
 	}
 	return string(b)
+}
+
+// MarshalJSON renders the schedule as a JSON array of compact decision
+// strings, the form Decision.MarshalJSON gives each element, in one pass:
+// checkpoints marshal every queued work item, so per-element encoding
+// overhead adds up.
+func (s Schedule) MarshalJSON() ([]byte, error) {
+	if s == nil {
+		return []byte("null"), nil
+	}
+	b := append(make([]byte, 0, 2+6*len(s)), '[')
+	for i, d := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(d.appendTo(append(b, '"')), '"')
+	}
+	return append(b, ']'), nil
 }
 
 // ReplayError reports a divergence while replaying a schedule: the program

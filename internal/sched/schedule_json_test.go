@@ -29,6 +29,16 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	if out.String() != in.String() {
 		t.Fatalf("round trip changed the schedule: %q -> %q", in, out)
 	}
+	// Absent and empty schedules keep encoding/json's slice forms, and a
+	// lone decision its token.
+	for _, c := range []struct {
+		v    any
+		want string
+	}{{sched.Schedule(nil), `null`}, {sched.Schedule{}, `[]`}, {sched.DataDecision(4), `"d4"`}} {
+		if js, err := json.Marshal(c.v); err != nil || string(js) != c.want {
+			t.Errorf("marshal %#v = %s, %v; want %s", c.v, js, err, c.want)
+		}
+	}
 }
 
 // TestDecisionUnmarshalRejectsGarbage checks malformed tokens fail loudly
