@@ -15,6 +15,8 @@ import (
 	"icb/internal/core"
 	"icb/internal/exper"
 	"icb/internal/hb"
+	"icb/internal/obs"
+	"icb/internal/obs/estimate"
 	"icb/internal/progs/txnmgr"
 	"icb/internal/progs/wsq"
 	"icb/internal/race"
@@ -124,14 +126,32 @@ func BenchmarkExecution(b *testing.B) {
 
 // BenchmarkICBExhaustive measures a complete bounded search of a small
 // program (executions per second is the number that matters for scaling).
+// The telemetry sub-benchmark attaches what `icb -progress -http` does —
+// live counters, the schedule-space estimator and the progress line (to
+// io.Discard) — so its gap to plain is the telemetry overhead.
 func BenchmarkICBExhaustive(b *testing.B) {
 	prog := wsq.Program(wsq.Correct, wsq.Params{Items: 2, Size: 2})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res := core.Explore(prog, core.ICB{}, core.Options{MaxPreemptions: 2, CheckRaces: true})
-		if len(res.Bugs) != 0 {
-			b.Fatal("unexpected bug")
-		}
+	for _, c := range []struct {
+		name string
+		sink func() obs.Sink
+	}{
+		{"plain", func() obs.Sink { return nil }},
+		{"telemetry", func() obs.Sink {
+			met, est, prg := &obs.Metrics{}, estimate.New(), obs.NewProgress(io.Discard, 0)
+			met.SetEstimator(est)
+			prg.SetEstimator(est)
+			return obs.Multi(est, prg, met)
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := core.Explore(prog, core.ICB{}, core.Options{MaxPreemptions: 2, CheckRaces: true, Sink: c.sink()})
+				if len(res.Bugs) != 0 {
+					b.Fatal("unexpected bug")
+				}
+			}
+		})
 	}
 }
 

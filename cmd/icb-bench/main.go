@@ -116,10 +116,8 @@ func main() {
 		m.SetEstimator(est)
 		cov := coverage.NewRecorder("exper")
 		m.SetCoverage(cov)
-		cfg.Metrics = m
-		cfg.Estimator = est
 		cfg.Coverage = cov
-		sinks = append(sinks, est)
+		sinks = append(sinks, m, est)
 		if prg != nil {
 			prg.SetEstimator(est)
 		}

@@ -142,32 +142,20 @@ func serve(args []string) int {
 		}()
 	}
 
-	// The dashboard serves the aggregator's merged snapshot; the poll
-	// callbacks bridge fleet events onto NDJSON and SSE. ds is assigned
-	// before the first poll round (Run is called last), so the closures'
-	// forward references are safe.
+	// The dashboard serves the aggregator's merged snapshot; the
+	// aggregator's fleet events feed the heartbeat, NDJSON and SSE. agg is
+	// assigned before the dashboard can serve a request, so the snapshot
+	// closure's forward reference is safe.
 	probe := health.New(0)
-	var ds *dash.Server
-	agg := fleet.New(fleet.Options{
+	var agg *fleet.Aggregator
+	ds := dash.NewWithSource(func() obs.Snapshot { return agg.Merged() })
+	agg = fleet.New(fleet.Options{
 		Peers:      peers,
 		JournalDir: *jrnlDir,
 		Interval:   *interval,
 		Log:        log,
-		OnFleetSnapshot: func(ev obs.FleetSnapshotEvent) {
-			probe.Beat()
-			if nd != nil {
-				nd.FleetSnapshot(ev)
-			}
-			ds.Publish("fleet_snapshot", ev)
-		},
-		OnPeerStatus: func(ev obs.PeerStatusEvent) {
-			if nd != nil {
-				nd.PeerStatus(ev)
-			}
-			ds.Publish("peer_status", ev)
-		},
+		Sink:       obs.Multi(probe, nd, ds.Sink()),
 	})
-	ds = dash.NewWithSource(agg.Merged)
 	if *jrnlDir != "" {
 		ds.SetJournalDirs([]string{*jrnlDir})
 	}

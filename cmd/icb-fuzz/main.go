@@ -243,17 +243,18 @@ func run() int {
 	return 0
 }
 
-// campaignMetrics bridges the periodic CampaignProgress events into an
+// campaignMetrics bridges the periodic CampaignEvents into an
 // obs.Metrics so the dashboard and /metrics track a fuzz campaign: the
 // oracle's enumerated executions play the execution counter, strategy
 // discrepancies play the bug counter.
 type campaignMetrics struct {
-	obs.Nop
 	met *obs.Metrics
 }
 
-// CampaignProgress implements obs.Sink.
-func (c campaignMetrics) CampaignProgress(ev obs.CampaignEvent) {
-	c.met.Executions.Store(ev.Executions)
-	c.met.Bugs.Store(int64(ev.Discrepancies))
+// Emit implements obs.Sink.
+func (c campaignMetrics) Emit(e obs.Event) {
+	if ev, ok := e.(*obs.CampaignEvent); ok {
+		c.met.Executions.Store(ev.Executions)
+		c.met.Bugs.Store(int64(ev.Discrepancies))
+	}
 }

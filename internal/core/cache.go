@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"icb/internal/hb"
@@ -55,21 +56,23 @@ import (
 // per-bound execution counts are only guaranteed without caching; the
 // coverage experiments use caching, the counting experiments do not.)
 type Cache struct {
-	fp     *hb.Fingerprinter
-	table  map[cacheKey]struct{}
-	hits   int
-	misses int
+	fp    *hb.Fingerprinter
+	table map[cacheKey]struct{}
+	// totals are the search-wide lookup counters, shared by every worker's
+	// Cache of a parallel search and seeded with a resumed search's
+	// restored totals, so each hit reports search-wide cumulative numbers.
+	totals *lookupTotals
 
 	// shared, when non-nil, replaces the private table with a lock-striped
 	// one owned by a parallel search: every worker's Cache points at the
 	// same sharedTable, so TryTake stays a single atomic check-and-set per
-	// decision across all workers while hits/misses stay per-worker (no
-	// contention on counters; the barrier merge sums them).
+	// decision across all workers.
 	shared *sharedTable
 
-	// Telemetry, set by the engine; both nil when disabled.
+	// Telemetry, set by the engine: sink is nil when disabled; ev is the
+	// reused hit event.
 	sink obs.Sink
-	met  *obs.Metrics
+	ev   obs.CacheEvent
 
 	// Profiling (both nil when off; a Cache is per-worker, so neither field
 	// races). probeNS, when non-nil, accumulates this execution's probe
@@ -89,8 +92,14 @@ type cacheKey struct {
 	preempts int32
 }
 
+// lookupTotals counts work-item-table lookups: hits (pruned duplicates)
+// and misses (newly registered items).
+type lookupTotals struct {
+	hits, misses atomic.Int64
+}
+
 func newCache(fp *hb.Fingerprinter) *Cache {
-	return &Cache{fp: fp, table: make(map[cacheKey]struct{})}
+	return &Cache{fp: fp, table: make(map[cacheKey]struct{}), totals: new(lookupTotals)}
 }
 
 // TryTake registers the work item (current state, d, preemptions spent)
@@ -131,22 +140,17 @@ func (c *Cache) tryTake(state uint64, d sched.Decision, preempts int) bool {
 		taken = true
 	}
 	if taken {
-		c.hits++
-		if c.met != nil {
-			c.met.CacheHits.Add(1)
-		}
+		hits := c.totals.hits.Add(1)
 		if c.sink != nil {
-			c.sink.CacheHit(obs.CacheEvent{Hits: int64(c.hits), Misses: int64(c.misses)})
+			c.ev = obs.CacheEvent{Hits: hits, Misses: c.totals.misses.Load()}
+			c.sink.Emit(&c.ev)
 		}
 		return false
 	}
 	if c.shared == nil {
 		c.table[k] = struct{}{}
 	}
-	c.misses++
-	if c.met != nil {
-		c.met.CacheMisses.Add(1)
-	}
+	c.totals.misses.Add(1)
 	return true
 }
 
@@ -215,19 +219,16 @@ func (c *Cache) restore(keys []CacheKeyState, hits, misses int) {
 			c.table[k] = struct{}{}
 		}
 	}
-	c.hits = hits
-	c.misses = misses
-	if c.met != nil {
-		c.met.CacheHits.Store(int64(hits))
-		c.met.CacheMisses.Store(int64(misses))
-	}
+	c.totals.hits.Store(int64(hits))
+	c.totals.misses.Store(int64(misses))
 }
 
-// Hits returns the number of pruned duplicates, for diagnostics.
-func (c *Cache) Hits() int { return c.hits }
+// Hits returns the search-wide number of pruned duplicates.
+func (c *Cache) Hits() int { return int(c.totals.hits.Load()) }
 
-// Misses returns the number of lookups that registered a new work item.
-func (c *Cache) Misses() int { return c.misses }
+// Misses returns the search-wide number of lookups that registered a new
+// work item.
+func (c *Cache) Misses() int { return int(c.totals.misses.Load()) }
 
 // Size returns the number of registered work items.
 func (c *Cache) Size() int {

@@ -68,19 +68,12 @@ type Options struct {
 	// Ignored under CSB, whose table keys would need switches spent
 	// rather than preemptions.
 	StateCache bool
-	// Sink receives the structured event stream of the search (package obs).
-	// nil (the default) disables emission entirely; the engine then pays a
-	// single nil-check per execution.
+	// Sink receives the structured event stream of the search (package
+	// obs); live counters (obs.Metrics) and schedule-space estimates
+	// (package obs/estimate) are subscribers to it. nil (the default)
+	// disables emission entirely; the engine then pays a single nil-check
+	// per execution.
 	Sink obs.Sink
-	// Metrics, when non-nil, receives live atomic counter updates that can
-	// be read concurrently (e.g. from an expvar HTTP handler).
-	Metrics *obs.Metrics
-	// Estimator, when non-nil, receives a branching-width sample at every
-	// scheduling point plus work-item progress reports, driving live
-	// schedule-space estimates (package obs/estimate). nil (the default)
-	// disables sampling entirely; the engine then pays one nil-check per
-	// execution.
-	Estimator obs.BranchObserver
 	// Coverage, when non-nil, receives every resolved thread-scheduling
 	// decision together with the preemption bound it ran under, feeding the
 	// preemption-point coverage atlas (package obs/coverage). nil (the

@@ -157,20 +157,27 @@ func (e *Engine) captureState(st *SearchState, final bool) {
 	e.opt.Checkpoint.Capture(st, final)
 	e.ckptSeq++
 	if e.sink != nil {
-		e.sink.Checkpoint(obs.CheckpointEvent{
-			Seq:        e.ckptSeq,
-			Bound:      st.Bound,
-			Executions: st.Result.Executions,
-			States:     len(st.States),
-			Classes:    len(st.Classes),
-			Bugs:       len(st.Result.Bugs),
-			SeedQueue:  len(st.SeedQueue),
-			NextWork:   len(st.NextWork),
-			Scheduler:  st.Scheduler,
-			NextWork2:  len(st.NextWork2),
-			HeldBugs:   len(st.Held),
-			Final:      final,
-		})
+		ev := st.CheckpointEvent(e.ckptSeq, final)
+		e.sink.Emit(&ev)
+	}
+}
+
+// CheckpointEvent summarizes the snapshot for the event stream as the
+// seq-th checkpoint of its run; final marks the run's last snapshot.
+func (st *SearchState) CheckpointEvent(seq int, final bool) obs.CheckpointEvent {
+	return obs.CheckpointEvent{
+		Seq:        seq,
+		Bound:      st.Bound,
+		Executions: st.Result.Executions,
+		States:     len(st.States),
+		Classes:    len(st.Classes),
+		Bugs:       len(st.Result.Bugs),
+		SeedQueue:  len(st.SeedQueue),
+		NextWork:   len(st.NextWork),
+		Scheduler:  st.Scheduler,
+		NextWork2:  len(st.NextWork2),
+		HeldBugs:   len(st.Held),
+		Final:      final,
 	}
 }
 
@@ -187,8 +194,8 @@ func (e *Engine) exportState() *SearchState {
 	}
 	if e.cache != nil {
 		st.CacheKeys = e.cache.export()
-		st.CacheHits = e.cache.hits
-		st.CacheMisses = e.cache.misses
+		st.CacheHits = e.cache.Hits()
+		st.CacheMisses = e.cache.Misses()
 	}
 	if e.bpor != nil {
 		st.BPOR = true
@@ -222,12 +229,6 @@ func (e *Engine) importState(st *SearchState) {
 	if e.bpor != nil {
 		e.bpor.restore(st.BPORSeen)
 		e.bpor.restoreCounters(st.BPORCounters)
-	}
-	if e.met != nil {
-		e.met.Executions.Store(int64(e.res.Executions))
-		e.met.States.Store(int64(e.states.Len()))
-		e.met.Classes.Store(int64(e.classes.Len()))
-		e.met.Bugs.Store(int64(len(e.res.Bugs)))
 	}
 }
 

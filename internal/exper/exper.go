@@ -47,16 +47,10 @@ type Config struct {
 	// are unchanged by it: the bound barrier keeps per-bound coverage and
 	// bug sets deterministic across worker counts.
 	Workers int
-	// Metrics, when non-nil, receives live counters from every exploration
-	// the experiments run (icb-bench serves it over expvar).
-	Metrics *obs.Metrics
 	// Sink, when non-nil, receives the structured event stream of every
-	// exploration the experiments run.
+	// exploration the experiments run (icb-bench attaches live counters
+	// and the schedule-space estimator to it).
 	Sink obs.Sink
-	// Estimator, when non-nil, receives branching samples and work-item
-	// progress from every exploration, driving live schedule-space
-	// estimates on icb-bench's dashboard.
-	Estimator obs.BranchObserver
 	// Coverage, when non-nil, receives every scheduling decision of every
 	// exploration, accumulating the preemption-point coverage atlas across
 	// the whole experiment run (icb-bench feeds the dashboard's heatmap
@@ -162,9 +156,7 @@ func (c Config) icb() core.Strategy {
 // Config's experiment-wide recorder.
 func explore(prog sched.Program, s core.Strategy, opt core.Options, cfg Config) core.Result {
 	opt.CheckRaces = true
-	opt.Metrics = cfg.Metrics
 	opt.Sink = cfg.Sink
-	opt.Estimator = cfg.Estimator
 	if opt.Profiler == nil {
 		opt.Profiler = cfg.Profiler
 	}

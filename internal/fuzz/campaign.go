@@ -178,14 +178,16 @@ func Campaign(cfg CampaignConfig) (*CampaignStats, error) {
 				stats.Programs, stats.Skipped, stats.Buggy, stats.Executions, len(stats.Discrepancies))
 		}
 		if cfg.Sink != nil {
-			cfg.Sink.CampaignProgress(campaignEvent(stats, time.Since(start), false))
+			ev := campaignEvent(stats, time.Since(start), false)
+			cfg.Sink.Emit(&ev)
 		}
 	}
 	stats.Duration = time.Since(start)
 	if cfg.Sink != nil {
-		cfg.Sink.CampaignProgress(campaignEvent(stats, stats.Duration, true))
+		ev := campaignEvent(stats, stats.Duration, true)
+		cfg.Sink.Emit(&ev)
 		if cfg.Limits.Profiler != nil {
-			cfg.Sink.Profile(obs.ProfileEvent{Profile: cfg.Limits.Profiler.Profile()})
+			cfg.Sink.Emit(&obs.ProfileEvent{Profile: cfg.Limits.Profiler.Profile()})
 		}
 	}
 	return stats, nil
@@ -273,7 +275,7 @@ func WriteDiscrepancy(dir string, spec, shrunk *Spec, discs []Discrepancy) error
 		if len(disc.Witness) == 0 {
 			continue
 		}
-		w.BugFound(obs.BugEvent{
+		w.Emit(&obs.BugEvent{
 			Kind:      disc.Property,
 			Message:   disc.Detail,
 			Execution: i + 1,

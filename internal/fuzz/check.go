@@ -136,7 +136,6 @@ func (c *checker) baseOpts() core.Options {
 		MaxExecutions:  c.failsafe(),
 		MaxSteps:       c.lim.MaxSteps,
 		CheckRaces:     true,
-		Metrics:        c.lim.Metrics,
 		Profiler:       c.lim.Profiler,
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"icb/internal/core"
-	"icb/internal/obs"
 	"icb/internal/obs/prof"
 	"icb/internal/race"
 	"icb/internal/sched"
@@ -23,12 +22,11 @@ type Limits struct {
 	// Generated programs are straight-line, so hitting it would be a
 	// harness bug; the default (2000) is far above any generated program.
 	MaxSteps int
-	// Metrics and Profiler, when non-nil, attach live counters and the
-	// search profiler to every strategy exploration the checker runs (the
-	// brute-force oracle itself stays unobserved — it is the ground truth,
-	// not the system under test). They ride in Limits because Limits is
-	// the one configuration value that reaches every checker exploration.
-	Metrics  *obs.Metrics
+	// Profiler, when non-nil, attaches the search profiler to every
+	// strategy exploration the checker runs (the brute-force oracle itself
+	// stays unobserved — it is the ground truth, not the system under
+	// test). It rides in Limits because Limits is the one configuration
+	// value that reaches every checker exploration.
 	Profiler *prof.Profiler
 }
 

@@ -19,12 +19,13 @@ import (
 // preemptionSum is a Sink that totals the engine's own per-execution
 // preemption counts, giving the tests an independent ground truth.
 type preemptionSum struct {
-	obs.Nop
 	total int64
 }
 
-func (p *preemptionSum) ExecutionDone(ev obs.ExecutionEvent) {
-	p.total += int64(ev.Preemptions)
+func (p *preemptionSum) Emit(ev obs.Event) {
+	if ev, ok := ev.(*obs.ExecutionEvent); ok {
+		p.total += int64(ev.Preemptions)
+	}
 }
 
 // explore runs the work-stealing queue under ICB up to maxPreemptions with a

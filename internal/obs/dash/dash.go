@@ -91,16 +91,6 @@ func (s *Server) Mount(pattern string, h http.Handler) {
 	s.mux.Handle(pattern, h)
 }
 
-// Publish broadcasts one extra SSE event that does not originate from the
-// obs.Sink stream (the fleet aggregator's fleet_snapshot / peer_status).
-// Like the Sink bridge it is a live view: with no subscriber connected the
-// event is discarded after one atomic load.
-func (s *Server) Publish(name string, data any) {
-	if !s.bc.idle() {
-		s.bc.emit(name, data)
-	}
-}
-
 // SetJournalDirs attaches the journal directories whose campaign ledgers
 // back /api/runs and the history panel. The ledgers are re-read on every
 // request (they are small, append-only NDJSON files), so records appended
@@ -146,7 +136,8 @@ func (s *Server) runs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Sink returns the obs.Sink that feeds /api/events subscribers. Register
-// it with the search (e.g. via obs.Multi) to make the event stream live.
+// it with the search (e.g. via obs.Multi) to make the event stream live;
+// the fleet aggregator registers it for its fleet events.
 func (s *Server) Sink() obs.Sink { return s.bc }
 
 // Subscribers returns the number of currently connected SSE subscribers.
@@ -263,10 +254,9 @@ func (b *broadcaster) unsubscribe(ch chan sseEvent) {
 	b.mu.Unlock()
 }
 
-// idle reports that no subscriber is connected. Each Sink method checks it
-// before touching its event: boxing the event into emit's any parameter
-// already allocates, so the check must happen in the caller for the
-// engine's hot path to stay allocation-free while no browser is attached.
+// idle reports that no subscriber is connected. Emit checks it before
+// touching its event, so the engine's hot path stays allocation-free while
+// no browser is attached.
 func (b *broadcaster) idle() bool { return b.nsubs.Load() == 0 }
 
 // emit marshals once and offers the event to every subscriber.
@@ -288,86 +278,9 @@ func (b *broadcaster) emit(name string, data any) {
 	b.mu.Unlock()
 }
 
-// ExecutionDone implements obs.Sink.
-func (b *broadcaster) ExecutionDone(ev obs.ExecutionEvent) {
+// Emit implements obs.Sink: one SSE event named after the event.
+func (b *broadcaster) Emit(ev obs.Event) {
 	if !b.idle() {
-		b.emit("execution_done", ev)
-	}
-}
-
-// BoundStart implements obs.Sink.
-func (b *broadcaster) BoundStart(ev obs.BoundEvent) {
-	if !b.idle() {
-		b.emit("bound_start", ev)
-	}
-}
-
-// BoundComplete implements obs.Sink.
-func (b *broadcaster) BoundComplete(ev obs.BoundEvent) {
-	if !b.idle() {
-		b.emit("bound_complete", ev)
-	}
-}
-
-// BugFound implements obs.Sink.
-func (b *broadcaster) BugFound(ev obs.BugEvent) {
-	if !b.idle() {
-		b.emit("bug_found", ev)
-	}
-}
-
-// CacheHit implements obs.Sink.
-func (b *broadcaster) CacheHit(ev obs.CacheEvent) {
-	if !b.idle() {
-		b.emit("cache_hit", ev)
-	}
-}
-
-// Profile implements obs.Sink.
-func (b *broadcaster) Profile(ev obs.ProfileEvent) {
-	if !b.idle() {
-		b.emit("profile", ev)
-	}
-}
-
-// CampaignProgress implements obs.Sink.
-func (b *broadcaster) CampaignProgress(ev obs.CampaignEvent) {
-	if !b.idle() {
-		b.emit("campaign_progress", ev)
-	}
-}
-
-// Checkpoint implements obs.Sink.
-func (b *broadcaster) Checkpoint(ev obs.CheckpointEvent) {
-	if !b.idle() {
-		b.emit("checkpoint", ev)
-	}
-}
-
-// Resumed implements obs.Sink.
-func (b *broadcaster) Resumed(ev obs.ResumeEvent) {
-	if !b.idle() {
-		b.emit("resume", ev)
-	}
-}
-
-// RunRecorded implements obs.Sink.
-func (b *broadcaster) RunRecorded(ev obs.RunEvent) {
-	if !b.idle() {
-		b.emit("run_record", ev)
-	}
-}
-
-// BPORStats implements obs.Sink.
-func (b *broadcaster) BPORStats(ev obs.BPORStatsEvent) {
-	if !b.idle() {
-		b.emit("bpor_stats", ev)
-	}
-}
-
-// SearchDone implements obs.Sink.
-func (b *broadcaster) SearchDone(ev obs.SearchEvent) {
-	if !b.idle() {
-		b.emit("search_done", ev)
+		b.emit(ev.Name(), ev)
 	}
 }

@@ -6,18 +6,19 @@
 // tree-size estimator ("Estimating the efficiency of backtrack programs",
 // 1975) and JPF's StateCountEstimator:
 //
-//   - Branching samples. The engine reports, at every scheduling point of
-//     every execution, the number of alternatives the strategy can explore
-//     there without leaving the current bound (obs.BranchObserver.NoteBranch).
-//     The product of these widths along one root-to-leaf path is a Knuth
-//     sample of the bound's execution-tree leaf count; the running mean of
-//     the per-execution products estimates the executions one work item
-//     (seed schedule) expands into. This is the only signal available at
-//     the start of a bound, before any work item has been fully explored.
+//   - Branching samples. The engine multiplies, over every scheduling
+//     point of an execution, the number of alternatives the strategy can
+//     explore there without leaving the current bound, and reports the
+//     product with the execution (obs.ExecutionEvent.Branching). The
+//     product along one root-to-leaf path is a Knuth sample of the bound's
+//     execution-tree leaf count; the running mean of the per-execution
+//     products estimates the executions one work item (seed schedule)
+//     expands into. This is the only signal available at the start of a
+//     bound, before any work item has been fully explored.
 //
 //   - Work-item progress. Bounded strategies drain a known queue of seed
 //     schedules (obs.BoundEvent.Queue at BoundStart) and report how many
-//     they have finished (obs.BranchObserver.NoteWork). Once at least one
+//     they have finished (obs.ExecutionEvent.SeedsDone). Once at least one
 //     seed is done, the mean executions-per-seed observed so far is a far
 //     better subtree-size estimate than the Knuth products, so the
 //     estimator switches to
@@ -30,9 +31,9 @@
 // the bounded strategies (icb, idfs); for unbounded strategies no
 // BoundStart arrives and no estimate is produced.
 //
-// An Estimator is an obs.Sink (for bound lifecycle and execution events),
-// an obs.BranchObserver (for the engine-side sampling hooks), and an
-// obs.EstimateSource (for Metrics.Snapshot, Progress, and the dashboard).
+// An Estimator is an obs.Sink (a subscriber to the bound lifecycle and
+// execution events) and an obs.EstimateSource (for Metrics.Snapshot,
+// Progress, and the dashboard).
 // All methods are safe for concurrent use: the engine feeds it from the
 // search goroutine while HTTP handlers read estimates.
 package estimate
@@ -46,12 +47,8 @@ import (
 	"icb/internal/obs"
 )
 
-// maxProduct caps a Knuth branching product; a path through a pathological
-// tree could otherwise overflow float64 and poison the running mean.
-const maxProduct = 1e15
-
 // Estimator produces live per-bound schedule-space estimates. Create with
-// New; wire as core.Options.Estimator plus a member of the event sink.
+// New and attach as a member of the search's event sink.
 type Estimator struct {
 	mu     sync.Mutex
 	now    func() time.Time // injectable clock for tests
@@ -67,12 +64,10 @@ type boundState struct {
 	execs      int64
 	done       bool
 
-	// Knuth sampling: curProduct is the branching product of the
-	// in-flight execution (0 before its first scheduling point), prodSum
-	// and prodN the completed samples.
-	curProduct float64
-	prodSum    float64
-	prodN      int64
+	// Knuth sampling: the sum and count of the executions' branching
+	// products.
+	prodSum float64
+	prodN   int64
 }
 
 // New returns an empty Estimator using the real clock.
@@ -97,90 +92,37 @@ func (e *Estimator) get(bound int) *boundState {
 	return b
 }
 
-// NoteBranch implements obs.BranchObserver: one scheduling point of the
-// in-flight execution, with the number of within-bound alternatives. Depth
-// zero marks the first decision of a fresh execution and restarts the
-// Knuth product.
-func (e *Estimator) NoteBranch(depth, width, bound int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	b := e.get(bound)
-	if depth == 0 || b.curProduct == 0 {
-		b.curProduct = 1
-	}
-	if width > 1 && b.curProduct < maxProduct {
-		b.curProduct *= float64(width)
-	}
-}
-
-// NoteWork implements obs.BranchObserver: done of total seed schedules of
-// the bound have been fully explored.
-func (e *Estimator) NoteWork(bound, done, total int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	b := e.get(bound)
-	b.seedsDone, b.seedsTotal = done, total
-}
-
-// ExecutionDone implements obs.Sink: counts the execution toward its bound
-// and closes the Knuth sample of its path.
-func (e *Estimator) ExecutionDone(ev obs.ExecutionEvent) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	b := e.get(ev.Bound)
-	b.execs++
-	if b.curProduct >= 1 {
-		b.prodSum += b.curProduct
-		b.prodN++
-		b.curProduct = 0
+// Emit implements obs.Sink. BoundStart opens a bound with its seed-queue
+// size and starts its wall clock; each execution counts toward its bound
+// and contributes its seed progress and Knuth sample; BoundComplete makes
+// the bound's execution count exact.
+func (e *Estimator) Emit(ev obs.Event) {
+	switch ev := ev.(type) {
+	case *obs.ExecutionEvent:
+		e.mu.Lock()
+		b := e.get(ev.Bound)
+		b.execs++
+		if ev.SeedsTotal > 0 {
+			b.seedsDone, b.seedsTotal = ev.SeedsDone, ev.SeedsTotal
+		}
+		if ev.Branching >= 1 {
+			b.prodSum += ev.Branching
+			b.prodN++
+		}
+		e.mu.Unlock()
+	case *obs.BoundStart:
+		e.mu.Lock()
+		b := e.get(ev.Bound)
+		b.started = true
+		b.start = e.now()
+		b.seedsTotal = ev.Queue
+		e.mu.Unlock()
+	case *obs.BoundComplete:
+		e.mu.Lock()
+		e.get(ev.Bound).done = true
+		e.mu.Unlock()
 	}
 }
-
-// BoundStart implements obs.Sink: opens the bound with its seed-queue size
-// and starts its wall clock.
-func (e *Estimator) BoundStart(ev obs.BoundEvent) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	b := e.get(ev.Bound)
-	b.started = true
-	b.start = e.now()
-	b.seedsTotal = ev.Queue
-}
-
-// BoundComplete implements obs.Sink: the bound's execution count is now
-// exact.
-func (e *Estimator) BoundComplete(ev obs.BoundEvent) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.get(ev.Bound).done = true
-}
-
-// BugFound implements obs.Sink.
-func (e *Estimator) BugFound(obs.BugEvent) {}
-
-// CacheHit implements obs.Sink.
-func (e *Estimator) CacheHit(obs.CacheEvent) {}
-
-// Profile implements obs.Sink.
-func (e *Estimator) Profile(obs.ProfileEvent) {}
-
-// CampaignProgress implements obs.Sink.
-func (e *Estimator) CampaignProgress(obs.CampaignEvent) {}
-
-// Checkpoint implements obs.Sink.
-func (e *Estimator) Checkpoint(obs.CheckpointEvent) {}
-
-// Resumed implements obs.Sink.
-func (e *Estimator) Resumed(obs.ResumeEvent) {}
-
-// RunRecorded implements obs.Sink.
-func (e *Estimator) RunRecorded(obs.RunEvent) {}
-
-// BPORStats implements obs.Sink.
-func (e *Estimator) BPORStats(obs.BPORStatsEvent) {}
-
-// SearchDone implements obs.Sink.
-func (e *Estimator) SearchDone(obs.SearchEvent) {}
 
 // estimateTotal returns the bound's current total-execution estimate, or
 // ok=false when there is no evidence yet. The estimate is always finite and

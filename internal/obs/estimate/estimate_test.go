@@ -33,13 +33,13 @@ func TestSeedModelAndETA(t *testing.T) {
 	now := time.Unix(0, 0)
 	est.SetClock(func() time.Time { return now })
 
-	est.BoundStart(obs.BoundEvent{Bound: 2, Queue: 10})
-	for i := 1; i <= 50; i++ {
+	est.Emit(&obs.BoundStart{Bound: 2, Queue: 10})
+	for i := 1; i <= 49; i++ {
 		now = now.Add(time.Second)
-		est.NoteBranch(0, 1, 2)
-		est.ExecutionDone(obs.ExecutionEvent{Bound: 2, Execution: i})
+		est.Emit(&obs.ExecutionEvent{Bound: 2, Execution: i, Branching: 1})
 	}
-	est.NoteWork(2, 5, 10)
+	now = now.Add(time.Second)
+	est.Emit(&obs.ExecutionEvent{Bound: 2, Execution: 50, Branching: 1, SeedsDone: 5, SeedsTotal: 10})
 
 	e := findBound(t, est.Estimates(), 2)
 	if e.Executions != 50 || e.Done {
@@ -61,11 +61,9 @@ func TestSeedModelAndETA(t *testing.T) {
 // count.
 func TestKnuthColdStart(t *testing.T) {
 	est := estimate.New()
-	est.BoundStart(obs.BoundEvent{Bound: 1, Queue: 4})
+	est.Emit(&obs.BoundStart{Bound: 1, Queue: 4})
 	// One execution with branching widths 2 and 3 along its path.
-	est.NoteBranch(0, 2, 1)
-	est.NoteBranch(1, 3, 1)
-	est.ExecutionDone(obs.ExecutionEvent{Bound: 1, Execution: 1})
+	est.Emit(&obs.ExecutionEvent{Bound: 1, Execution: 1, Branching: 2 * 3})
 
 	e := findBound(t, est.Estimates(), 1)
 	if e.EstTotal != 24 {
@@ -73,8 +71,7 @@ func TestKnuthColdStart(t *testing.T) {
 	}
 
 	// A second, narrower path halves the mean product: (6+1)/2 x 4 = 14.
-	est.NoteBranch(0, 1, 1)
-	est.ExecutionDone(obs.ExecutionEvent{Bound: 1, Execution: 2})
+	est.Emit(&obs.ExecutionEvent{Bound: 1, Execution: 2, Branching: 1})
 	if e := findBound(t, est.Estimates(), 1); e.EstTotal != 14 {
 		t.Errorf("EstTotal = %v, want 14", e.EstTotal)
 	}
@@ -84,11 +81,11 @@ func TestKnuthColdStart(t *testing.T) {
 // estimate is the observed count exactly, fraction 1, no ETA.
 func TestBoundCompleteIsExact(t *testing.T) {
 	est := estimate.New()
-	est.BoundStart(obs.BoundEvent{Bound: 0, Queue: 1})
+	est.Emit(&obs.BoundStart{Bound: 0, Queue: 1})
 	for i := 1; i <= 7; i++ {
-		est.ExecutionDone(obs.ExecutionEvent{Bound: 0, Execution: i})
+		est.Emit(&obs.ExecutionEvent{Bound: 0, Execution: i})
 	}
-	est.BoundComplete(obs.BoundEvent{Bound: 0})
+	est.Emit(&obs.BoundComplete{Bound: 0})
 
 	e := findBound(t, est.Estimates(), 0)
 	if !e.Done || e.EstTotal != 7 || e.Fraction != 1 || e.ETANanos != 0 {
@@ -100,7 +97,7 @@ func TestBoundCompleteIsExact(t *testing.T) {
 // started (no BoundStart, e.g. the random walk's bound -1) are omitted.
 func TestUnboundedStrategyHasNoEstimates(t *testing.T) {
 	est := estimate.New()
-	est.ExecutionDone(obs.ExecutionEvent{Bound: -1, Execution: 1})
+	est.Emit(&obs.ExecutionEvent{Bound: -1, Execution: 1})
 	if es := est.Estimates(); len(es) != 0 {
 		t.Errorf("Estimates() = %+v, want none for an unbounded strategy", es)
 	}
@@ -109,12 +106,15 @@ func TestUnboundedStrategyHasNoEstimates(t *testing.T) {
 // probe records, after every execution, the estimator's view of the bound
 // the execution ran at, so accuracy can be judged mid-bound after the fact.
 type probe struct {
-	obs.Nop
 	est     *estimate.Estimator
 	history map[int][]obs.BoundEstimate // bound -> estimate after each execution
 }
 
-func (p *probe) ExecutionDone(ev obs.ExecutionEvent) {
+func (p *probe) Emit(e obs.Event) {
+	ev, ok := e.(*obs.ExecutionEvent)
+	if !ok {
+		return
+	}
 	for _, e := range p.est.Estimates() {
 		if e.Bound == ev.Bound {
 			p.history[ev.Bound] = append(p.history[ev.Bound], e)
@@ -134,7 +134,6 @@ func TestAccuracyOnWSQ(t *testing.T) {
 		MaxPreemptions: 2,
 		StopOnFirstBug: false,
 		Sink:           obs.Multi(est, p),
-		Estimator:      est,
 	})
 
 	if len(res.BoundStats) == 0 {
@@ -199,15 +198,14 @@ func TestNoNonfiniteEstimates(t *testing.T) {
 	t.Run("zero seeds zero executions", func(t *testing.T) {
 		est := estimate.New()
 		est.SetClock(func() time.Time { return now })
-		est.BoundStart(obs.BoundEvent{Bound: 0, Queue: 0})
-		est.NoteWork(0, 0, 0)
+		est.Emit(&obs.BoundStart{Bound: 0, Queue: 0})
 		check(t, est)
 	})
 	t.Run("bound done with nothing observed", func(t *testing.T) {
 		est := estimate.New()
 		est.SetClock(func() time.Time { return now })
-		est.BoundStart(obs.BoundEvent{Bound: 1})
-		est.BoundComplete(obs.BoundEvent{Bound: 1})
+		est.Emit(&obs.BoundStart{Bound: 1})
+		est.Emit(&obs.BoundComplete{Bound: 1})
 		check(t, est)
 	})
 	t.Run("huge Knuth product times huge queue", func(t *testing.T) {
@@ -217,13 +215,10 @@ func TestNoNonfiniteEstimates(t *testing.T) {
 		est := estimate.New()
 		clock := now
 		est.SetClock(func() time.Time { return clock })
-		est.BoundStart(obs.BoundEvent{Bound: 2, Queue: 1 << 30})
-		est.NoteBranch(0, 1000, 2)
-		for i := 0; i < 100; i++ {
-			est.NoteBranch(i+1, 1000, 2)
-		}
+		est.Emit(&obs.BoundStart{Bound: 2, Queue: 1 << 30})
 		clock = clock.Add(10 * time.Hour)
-		est.ExecutionDone(obs.ExecutionEvent{Bound: 2, Execution: 1})
+		// The engine caps a 101-point path of width 1000 at 1e15.
+		est.Emit(&obs.ExecutionEvent{Bound: 2, Execution: 1, Branching: 1e15})
 		check(t, est)
 		e := findBound(t, est.Estimates(), 2)
 		if e.ETANanos < 0 {
@@ -234,9 +229,8 @@ func TestNoNonfiniteEstimates(t *testing.T) {
 		est := estimate.New()
 		clock := now
 		est.SetClock(func() time.Time { return clock })
-		est.BoundStart(obs.BoundEvent{Bound: 3, Queue: 4})
-		est.ExecutionDone(obs.ExecutionEvent{Bound: 3, Execution: 1})
-		est.NoteWork(3, 1, 4)
+		est.Emit(&obs.BoundStart{Bound: 3, Queue: 4})
+		est.Emit(&obs.ExecutionEvent{Bound: 3, Execution: 1, SeedsDone: 1, SeedsTotal: 4})
 		clock = clock.Add(-time.Hour) // negative elapsed: no ETA, never negative
 		check(t, est)
 		if e := findBound(t, est.Estimates(), 3); e.ETANanos != 0 {
@@ -268,7 +262,6 @@ func TestConcurrentReads(t *testing.T) {
 	core.Explore(prog, core.ICB{}, core.Options{
 		MaxPreemptions: 1,
 		Sink:           est,
-		Estimator:      est,
 	})
 	close(stop)
 	wg.Wait()

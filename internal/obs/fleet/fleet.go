@@ -139,11 +139,9 @@ type Options struct {
 	Timeout time.Duration
 	// Log receives poll diagnostics (nil = slog.Default()).
 	Log *slog.Logger
-	// OnFleetSnapshot, when set, receives one event per poll round (the
-	// NDJSON v4 fleet_snapshot stream and the dashboard SSE bridge).
-	OnFleetSnapshot func(obs.FleetSnapshotEvent)
-	// OnPeerStatus, when set, receives up/down transitions (edges only).
-	OnPeerStatus func(obs.PeerStatusEvent)
+	// Sink, when set, receives one FleetSnapshotEvent per poll round and a
+	// PeerStatusEvent per peer up/down transition (edges only).
+	Sink obs.Sink
 }
 
 // peerState is the aggregator's record of one worker.
@@ -292,8 +290,8 @@ func (a *Aggregator) PollOnce(ctx context.Context) {
 			}
 		}
 		ps.polled = true
-		if (!wasPolled || wasUp != ps.status.Up) && a.opt.OnPeerStatus != nil {
-			a.opt.OnPeerStatus(obs.PeerStatusEvent{
+		if (!wasPolled || wasUp != ps.status.Up) && a.opt.Sink != nil {
+			a.opt.Sink.Emit(&obs.PeerStatusEvent{
 				Peer:       r.url,
 				Up:         ps.status.Up,
 				Err:        ps.status.Err,
@@ -310,14 +308,14 @@ func (a *Aggregator) PollOnce(ctx context.Context) {
 	merged := a.mergedLocked()
 	a.mu.Unlock()
 
-	if a.opt.OnFleetSnapshot != nil {
+	if a.opt.Sink != nil {
 		var peersUp int
 		for _, p := range merged.Peers {
 			if p.Up {
 				peersUp++
 			}
 		}
-		a.opt.OnFleetSnapshot(obs.FleetSnapshotEvent{
+		a.opt.Sink.Emit(&obs.FleetSnapshotEvent{
 			Peers:      len(merged.Peers),
 			PeersUp:    peersUp,
 			Executions: merged.Executions,

@@ -33,8 +33,6 @@ const DefaultStallAfter = 2 * time.Minute
 // the existing event stream; binaries without a Sink pipeline can call
 // Beat directly from their own loop.
 type Probe struct {
-	obs.Nop
-
 	stallAfter time.Duration
 	now        func() time.Time // injectable for tests
 
@@ -158,42 +156,11 @@ func CheckWritable(dir string) func() error {
 	}
 }
 
-// The Sink overrides: every event kind that indicates the loop is moving
-// beats the heartbeat; SearchDone additionally retires the liveness
-// requirement.
-
-// ExecutionDone implements obs.Sink.
-func (p *Probe) ExecutionDone(obs.ExecutionEvent) { p.Beat() }
-
-// BoundStart implements obs.Sink.
-func (p *Probe) BoundStart(obs.BoundEvent) { p.Beat() }
-
-// BoundComplete implements obs.Sink.
-func (p *Probe) BoundComplete(obs.BoundEvent) { p.Beat() }
-
-// BugFound implements obs.Sink.
-func (p *Probe) BugFound(obs.BugEvent) { p.Beat() }
-
-// CacheHit implements obs.Sink.
-func (p *Probe) CacheHit(obs.CacheEvent) { p.Beat() }
-
-// CampaignProgress implements obs.Sink.
-func (p *Probe) CampaignProgress(obs.CampaignEvent) { p.Beat() }
-
-// Checkpoint implements obs.Sink.
-func (p *Probe) Checkpoint(obs.CheckpointEvent) { p.Beat() }
-
-// Resumed implements obs.Sink.
-func (p *Probe) Resumed(obs.ResumeEvent) { p.Beat() }
-
-// RunRecorded implements obs.Sink.
-func (p *Probe) RunRecorded(obs.RunEvent) { p.Beat() }
-
-// BPORStats implements obs.Sink.
-func (p *Probe) BPORStats(obs.BPORStatsEvent) { p.Beat() }
-
-// SearchDone implements obs.Sink.
-func (p *Probe) SearchDone(obs.SearchEvent) {
+// Emit implements obs.Sink: every event beats the heartbeat, and
+// SearchEvent additionally retires the liveness requirement.
+func (p *Probe) Emit(ev obs.Event) {
 	p.Beat()
-	p.MarkDone()
+	if _, ok := ev.(*obs.SearchEvent); ok {
+		p.MarkDone()
+	}
 }

@@ -37,7 +37,7 @@ func TestHealthzStalledHeartbeat(t *testing.T) {
 	}
 
 	var sink obs.Sink = p // the probe rides the event stream
-	sink.ExecutionDone(obs.ExecutionEvent{Execution: 1})
+	sink.Emit(&obs.ExecutionEvent{Execution: 1})
 	if err := p.Healthy(); err != nil {
 		t.Fatalf("beating Healthy() = %v, want nil", err)
 	}
@@ -60,13 +60,13 @@ func TestHealthzStalledHeartbeat(t *testing.T) {
 	}
 
 	// An event revives it.
-	sink.BoundStart(obs.BoundEvent{Bound: 2})
+	sink.Emit(&obs.BoundStart{Bound: 2})
 	if err := p.Healthy(); err != nil {
 		t.Fatalf("revived Healthy() = %v, want nil", err)
 	}
 
 	// A finished search stays healthy forever, however quiet.
-	sink.SearchDone(obs.SearchEvent{})
+	sink.Emit(&obs.SearchEvent{})
 	clock.advance(24 * time.Hour)
 	if err := p.Healthy(); err != nil {
 		t.Fatalf("done Healthy() = %v, want nil", err)

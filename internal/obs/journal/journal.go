@@ -231,7 +231,7 @@ type Writer struct {
 	cfg   Config
 	runID string
 	// events is the segment log: a plain NDJSON sink over
-	// events-<runid>.ndjson. All obs.Sink methods forward to it.
+	// events-<runid>.ndjson. Emit forwards the event stream to it.
 	events *obs.NDJSON
 	file   *os.File
 	// nextDue is the unix-nano deadline of the next periodic checkpoint
@@ -337,27 +337,15 @@ func (w *Writer) Capture(st *core.SearchState, final bool) {
 		c.Profile = &p
 	}
 	if err := c.Save(filepath.Join(w.cfg.Dir, CheckpointName)); err != nil {
-		w.events.Checkpoint(obs.CheckpointEvent{Seq: seq, Bound: st.Bound, Final: final})
+		w.events.Emit(&obs.CheckpointEvent{Seq: seq, Bound: st.Bound, Final: final})
 		fmt.Fprintf(os.Stderr, "journal: checkpoint %d failed: %v\n", seq, err)
 		return
 	}
 	if w.cfg.Every > 0 {
 		w.nextDue.Store(time.Now().Add(w.cfg.Every).UnixNano())
 	}
-	w.events.Checkpoint(obs.CheckpointEvent{
-		Seq:        seq,
-		Bound:      st.Bound,
-		Executions: st.Result.Executions,
-		States:     len(st.States),
-		Classes:    len(st.Classes),
-		Bugs:       len(st.Result.Bugs),
-		SeedQueue:  len(st.SeedQueue),
-		NextWork:   len(st.NextWork),
-		Scheduler:  st.Scheduler,
-		NextWork2:  len(st.NextWork2),
-		HeldBugs:   len(st.Held),
-		Final:      final,
-	})
+	ev := st.CheckpointEvent(seq, final)
+	w.events.Emit(&ev)
 }
 
 // FinishRun completes the record with this run's identity and first-bug
@@ -397,7 +385,7 @@ func (w *Writer) FinishRun(rec *obs.RunRecord) error {
 	}
 	w.mu.Unlock()
 
-	w.events.RunRecorded(obs.RunEvent{Record: *rec})
+	w.events.Emit(&obs.RunEvent{Record: *rec})
 	if err := AppendRun(w.cfg.Dir, rec); err != nil {
 		return err
 	}
@@ -465,56 +453,25 @@ func ReadRuns(dir string) ([]obs.RunRecord, error) {
 	return runs, nil
 }
 
-// Sink methods: the Writer forwards the engine's event stream verbatim to
-// its segment log, and additionally tracks first-bug wall times for the
-// run record.
-
-// ExecutionDone implements obs.Sink.
-func (w *Writer) ExecutionDone(ev obs.ExecutionEvent) { w.events.ExecutionDone(ev) }
-
-// BoundStart implements obs.Sink.
-func (w *Writer) BoundStart(ev obs.BoundEvent) { w.events.BoundStart(ev) }
-
-// BoundComplete implements obs.Sink.
-func (w *Writer) BoundComplete(ev obs.BoundEvent) { w.events.BoundComplete(ev) }
-
-// BugFound implements obs.Sink.
-func (w *Writer) BugFound(ev obs.BugEvent) {
-	w.mu.Lock()
-	k := ev.Kind + "\x00" + ev.Message
-	if _, seen := w.bugWall[k]; !seen {
-		w.bugWall[k] = bugSighting{
-			wallNS:    time.Since(w.start).Nanoseconds(),
-			execution: ev.Execution,
+// Emit implements obs.Sink: the Writer forwards the event stream verbatim
+// to its segment log and tracks first-bug wall times for the run record.
+// Engine checkpoint events and ledger records are dropped: Capture and
+// FinishRun log their own, with full frontier context and the
+// authoritative record, rather than logging them twice.
+func (w *Writer) Emit(ev obs.Event) {
+	switch ev := ev.(type) {
+	case *obs.CheckpointEvent, *obs.RunEvent:
+		return
+	case *obs.BugEvent:
+		w.mu.Lock()
+		k := ev.Kind + "\x00" + ev.Message
+		if _, seen := w.bugWall[k]; !seen {
+			w.bugWall[k] = bugSighting{
+				wallNS:    time.Since(w.start).Nanoseconds(),
+				execution: ev.Execution,
+			}
 		}
+		w.mu.Unlock()
 	}
-	w.mu.Unlock()
-	w.events.BugFound(ev)
+	w.events.Emit(ev)
 }
-
-// CacheHit implements obs.Sink.
-func (w *Writer) CacheHit(ev obs.CacheEvent) { w.events.CacheHit(ev) }
-
-// Profile implements obs.Sink.
-func (w *Writer) Profile(ev obs.ProfileEvent) { w.events.Profile(ev) }
-
-// CampaignProgress implements obs.Sink.
-func (w *Writer) CampaignProgress(ev obs.CampaignEvent) { w.events.CampaignProgress(ev) }
-
-// Checkpoint implements obs.Sink. Capture already logs its own checkpoint
-// events with full frontier context, so engine-originated duplicates are
-// dropped rather than logged twice.
-func (w *Writer) Checkpoint(obs.CheckpointEvent) {}
-
-// Resumed implements obs.Sink.
-func (w *Writer) Resumed(ev obs.ResumeEvent) { w.events.Resumed(ev) }
-
-// RunRecorded implements obs.Sink. FinishRun logs the authoritative
-// record; duplicates from the fan-out are dropped.
-func (w *Writer) RunRecorded(obs.RunEvent) {}
-
-// BPORStats implements obs.Sink.
-func (w *Writer) BPORStats(ev obs.BPORStatsEvent) { w.events.BPORStats(ev) }
-
-// SearchDone implements obs.Sink.
-func (w *Writer) SearchDone(ev obs.SearchEvent) { w.events.SearchDone(ev) }

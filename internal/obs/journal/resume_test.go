@@ -139,14 +139,13 @@ func TestResumeEveryBoundaryIdenticalCached(t *testing.T) {
 
 // stopAfter flips the stop flag once the search has run n executions.
 type stopAfter struct {
-	obs.Nop
 	n    int
 	seen atomic.Int64
 	stop *atomic.Bool
 }
 
-func (s *stopAfter) ExecutionDone(obs.ExecutionEvent) {
-	if s.seen.Add(1) == int64(s.n) {
+func (s *stopAfter) Emit(ev obs.Event) {
+	if _, ok := ev.(*obs.ExecutionEvent); ok && s.seen.Add(1) == int64(s.n) {
 		s.stop.Store(true)
 	}
 }

@@ -94,50 +94,8 @@ func (n *NDJSON) emit(event string, data any) {
 	}
 }
 
-// ExecutionDone implements Sink.
-func (n *NDJSON) ExecutionDone(ev ExecutionEvent) { n.emit("execution_done", ev) }
-
-// BoundStart implements Sink.
-func (n *NDJSON) BoundStart(ev BoundEvent) { n.emit("bound_start", ev) }
-
-// BoundComplete implements Sink.
-func (n *NDJSON) BoundComplete(ev BoundEvent) { n.emit("bound_complete", ev) }
-
-// BugFound implements Sink.
-func (n *NDJSON) BugFound(ev BugEvent) { n.emit("bug_found", ev) }
-
-// CacheHit implements Sink.
-func (n *NDJSON) CacheHit(ev CacheEvent) { n.emit("cache_hit", ev) }
-
-// Profile implements Sink.
-func (n *NDJSON) Profile(ev ProfileEvent) { n.emit("profile", ev) }
-
-// CampaignProgress implements Sink.
-func (n *NDJSON) CampaignProgress(ev CampaignEvent) { n.emit("campaign_progress", ev) }
-
-// Checkpoint implements Sink.
-func (n *NDJSON) Checkpoint(ev CheckpointEvent) { n.emit("checkpoint", ev) }
-
-// Resumed implements Sink.
-func (n *NDJSON) Resumed(ev ResumeEvent) { n.emit("resume", ev) }
-
-// RunRecorded implements Sink.
-func (n *NDJSON) RunRecorded(ev RunEvent) { n.emit("run_record", ev) }
-
-// BPORStats implements Sink.
-func (n *NDJSON) BPORStats(ev BPORStatsEvent) { n.emit("bpor_stats", ev) }
-
-// SearchDone implements Sink.
-func (n *NDJSON) SearchDone(ev SearchEvent) { n.emit("search_done", ev) }
-
-// FleetSnapshot records one fleet poll round (v4). Only the campaign
-// aggregator emits it, so it is a direct method rather than part of the
-// Sink interface: single-search sinks never see fleet events.
-func (n *NDJSON) FleetSnapshot(ev FleetSnapshotEvent) { n.emit("fleet_snapshot", ev) }
-
-// PeerStatus records one fleet worker's up/down transition (v4); a direct
-// method for the same reason as FleetSnapshot.
-func (n *NDJSON) PeerStatus(ev PeerStatusEvent) { n.emit("peer_status", ev) }
+// Emit implements Sink: one line named after the event.
+func (n *NDJSON) Emit(ev Event) { n.emit(ev.Name(), ev) }
 
 // Flush drains the write buffer and returns the first error encountered
 // by any write so far.

@@ -156,7 +156,10 @@ type ProfileSource interface {
 	Profile() ProfileData
 }
 
-// ProfileEvent carries the final profiler snapshot of one exploration.
+// ProfileEvent carries the final profiler snapshot of one exploration,
+// emitted at most once, just before its SearchEvent, when a profiler was
+// attached. Campaign drivers that share one profiler across many
+// explorations may emit it once per campaign instead.
 type ProfileEvent struct {
 	Profile ProfileData `json:"profile"`
 }
@@ -178,6 +181,7 @@ type BPORBoundStat struct {
 // BPORStatsEvent reports the final accounting of a search that ran with
 // bounded partial-order reduction (core.Options.BPOR): how much of the
 // blind expansion the sleep sets and targeted backtracking replaced.
+// Emitted at most once per exploration, just before its SearchEvent.
 type BPORStatsEvent struct {
 	// Executions is the search's total execution count (for computing the
 	// saving against a plain run).

@@ -58,21 +58,70 @@ func (p *Progress) SetEstimator(src EstimateSource) {
 	p.mu.Unlock()
 }
 
-// ExecutionDone implements Sink: prints a progress line if at least one
-// interval elapsed since the previous one.
-func (p *Progress) ExecutionDone(ev ExecutionEvent) {
+// Emit implements Sink. Executions print a progress line when at least one
+// interval elapsed since the previous one; cache hits are folded into the
+// next progress line; bound transitions, bugs, campaign reports, final
+// checkpoints, resumes, the reduction's accounting and search completion
+// print unconditionally; profiles, ledger records and fleet events are
+// terminal artifacts, not progress signals, and print nothing.
+func (p *Progress) Emit(ev Event) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	now := p.now()
-	if now.Sub(p.last) < p.every {
-		return
+	switch ev := ev.(type) {
+	case *ExecutionEvent:
+		now := p.now()
+		if now.Sub(p.last) < p.every {
+			return
+		}
+		rate := float64(ev.Execution-p.lastExecs) / now.Sub(p.last).Seconds()
+		p.last, p.lastExecs = now, ev.Execution
+		fmt.Fprintf(p.w, "[search %s] execs=%d (%.0f/s) bound=%d frontier=%d states=%d classes=%d cache=%d/%d%s\n",
+			fmtDur(now.Sub(p.start)), ev.Execution, rate, ev.Bound, ev.Frontier,
+			ev.States, ev.Classes, p.cache.Hits, p.cache.Hits+p.cache.Misses,
+			p.estimateSuffix(ev.Bound))
+	case *BoundStart:
+		fmt.Fprintf(p.w, "[bound %d] start: queue=%d execs=%d states=%d\n",
+			ev.Bound, ev.Queue, ev.Executions, ev.States)
+	case *BoundComplete:
+		fmt.Fprintf(p.w, "[bound %d] complete in %s: execs=%d states=%d next-frontier=%d\n",
+			ev.Bound, fmtDur(time.Duration(ev.DurationNS)), ev.Executions, ev.States, ev.Frontier)
+	case *BugEvent:
+		fmt.Fprintf(p.w, "[bug] %s (preemptions=%d, execution %d): %s\n",
+			ev.Kind, ev.Preemptions, ev.Execution, ev.Message)
+	case *CacheEvent:
+		p.cache = *ev
+	case *CampaignEvent:
+		state := ""
+		if ev.Done {
+			state = " done"
+		}
+		fmt.Fprintf(p.w, "[campaign%s] programs=%d buggy=%d skipped=%d execs=%d (%.0f/s) discrepancies=%d\n",
+			state, ev.Programs, ev.Buggy, ev.Skipped, ev.Executions, ev.ExecsPerSec, ev.Discrepancies)
+	case *CheckpointEvent:
+		// Only final checkpoints are worth a line: the periodic ones would
+		// swamp the report on a short checkpoint interval.
+		if ev.Final {
+			fmt.Fprintf(p.w, "[checkpoint] #%d bound=%d execs=%d seeds=%d next=%d (final)\n",
+				ev.Seq, ev.Bound, ev.Executions, ev.SeedQueue, ev.NextWork)
+		}
+	case *ResumeEvent:
+		fmt.Fprintf(p.w, "[resume] from %s bound=%d execs=%d seeds=%d next=%d bugs=%d\n",
+			ev.Dir, ev.Bound, ev.Executions, ev.SeedQueue, ev.NextWork, ev.Bugs)
+	case *BPORStatsEvent:
+		fmt.Fprintf(p.w, "[bpor] execs=%d pruned=%d (suppressed=%d emitted=%d) sleep-blocked=%d seen=%d\n",
+			ev.Executions, ev.Pruned, ev.Suppressed, ev.Emitted, ev.SleepBlocked, ev.SeenSize)
+	case *SearchEvent:
+		// When state caching ran (any table lookups at all), the final line
+		// carries the hit/miss totals so the one-line summary of a long
+		// search records how much the table pruned.
+		cache := ""
+		if ev.CacheHits+ev.CacheMisses > 0 {
+			cache = fmt.Sprintf(" cache=%d/%d", ev.CacheHits, ev.CacheHits+ev.CacheMisses)
+		}
+		fmt.Fprintf(p.w, "[search done] strategy=%s execs=%d states=%d classes=%d bugs=%d bound-completed=%d exhausted=%v%s in %s\n",
+			ev.Strategy, ev.Executions, ev.States, ev.Classes, ev.Bugs,
+			ev.BoundCompleted, ev.Exhausted, cache, fmtDur(time.Duration(ev.DurationNS)))
 	}
-	rate := float64(ev.Execution-p.lastExecs) / now.Sub(p.last).Seconds()
-	p.last, p.lastExecs = now, ev.Execution
-	fmt.Fprintf(p.w, "[search %s] execs=%d (%.0f/s) bound=%d frontier=%d states=%d classes=%d cache=%d/%d%s\n",
-		fmtDur(now.Sub(p.start)), ev.Execution, rate, ev.Bound, ev.Frontier,
-		ev.States, ev.Classes, p.cache.Hits, p.cache.Hits+p.cache.Misses,
-		p.estimateSuffix(ev.Bound))
 }
 
 // estimateSuffix renders the attached estimator's view of one bound, e.g.
@@ -102,103 +151,6 @@ func (p *Progress) estimateSuffix(bound int) string {
 		return s
 	}
 	return ""
-}
-
-// BoundStart implements Sink.
-func (p *Progress) BoundStart(ev BoundEvent) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fmt.Fprintf(p.w, "[bound %d] start: queue=%d execs=%d states=%d\n",
-		ev.Bound, ev.Queue, ev.Executions, ev.States)
-}
-
-// BoundComplete implements Sink.
-func (p *Progress) BoundComplete(ev BoundEvent) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fmt.Fprintf(p.w, "[bound %d] complete in %s: execs=%d states=%d next-frontier=%d\n",
-		ev.Bound, fmtDur(time.Duration(ev.DurationNS)), ev.Executions, ev.States, ev.Frontier)
-}
-
-// BugFound implements Sink.
-func (p *Progress) BugFound(ev BugEvent) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fmt.Fprintf(p.w, "[bug] %s (preemptions=%d, execution %d): %s\n",
-		ev.Kind, ev.Preemptions, ev.Execution, ev.Message)
-}
-
-// CacheHit implements Sink: hits are folded into the next progress line
-// rather than reported individually.
-func (p *Progress) CacheHit(ev CacheEvent) {
-	p.mu.Lock()
-	p.cache = ev
-	p.mu.Unlock()
-}
-
-// Profile implements Sink: the snapshot is a terminal artifact, not a
-// progress signal, so the reporter prints nothing for it.
-func (p *Progress) Profile(ProfileEvent) {}
-
-// CampaignProgress implements Sink: one line per report, rate-limited by
-// the emitting campaign driver rather than here.
-func (p *Progress) CampaignProgress(ev CampaignEvent) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	state := ""
-	if ev.Done {
-		state = " done"
-	}
-	fmt.Fprintf(p.w, "[campaign%s] programs=%d buggy=%d skipped=%d execs=%d (%.0f/s) discrepancies=%d\n",
-		state, ev.Programs, ev.Buggy, ev.Skipped, ev.Executions, ev.ExecsPerSec, ev.Discrepancies)
-}
-
-// Checkpoint implements Sink: only final checkpoints are worth a line (the
-// periodic ones would swamp the report on a short checkpoint interval).
-func (p *Progress) Checkpoint(ev CheckpointEvent) {
-	if !ev.Final {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fmt.Fprintf(p.w, "[checkpoint] #%d bound=%d execs=%d seeds=%d next=%d (final)\n",
-		ev.Seq, ev.Bound, ev.Executions, ev.SeedQueue, ev.NextWork)
-}
-
-// Resumed implements Sink.
-func (p *Progress) Resumed(ev ResumeEvent) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fmt.Fprintf(p.w, "[resume] from %s bound=%d execs=%d seeds=%d next=%d bugs=%d\n",
-		ev.Dir, ev.Bound, ev.Executions, ev.SeedQueue, ev.NextWork, ev.Bugs)
-}
-
-// RunRecorded implements Sink: the ledger append is a terminal artifact,
-// not a progress signal.
-func (p *Progress) RunRecorded(RunEvent) {}
-
-// BPORStats implements Sink: one summary line for the reduction's final
-// accounting, just before the search-done line.
-func (p *Progress) BPORStats(ev BPORStatsEvent) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fmt.Fprintf(p.w, "[bpor] execs=%d pruned=%d (suppressed=%d emitted=%d) sleep-blocked=%d seen=%d\n",
-		ev.Executions, ev.Pruned, ev.Suppressed, ev.Emitted, ev.SleepBlocked, ev.SeenSize)
-}
-
-// SearchDone implements Sink. When state caching ran (any table lookups at
-// all), the final line carries the hit/miss totals so the one-line summary
-// of a long search records how much the table pruned.
-func (p *Progress) SearchDone(ev SearchEvent) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cache := ""
-	if ev.CacheHits+ev.CacheMisses > 0 {
-		cache = fmt.Sprintf(" cache=%d/%d", ev.CacheHits, ev.CacheHits+ev.CacheMisses)
-	}
-	fmt.Fprintf(p.w, "[search done] strategy=%s execs=%d states=%d classes=%d bugs=%d bound-completed=%d exhausted=%v%s in %s\n",
-		ev.Strategy, ev.Executions, ev.States, ev.Classes, ev.Bugs,
-		ev.BoundCompleted, ev.Exhausted, cache, fmtDur(time.Duration(ev.DurationNS)))
 }
 
 // fmtDur rounds a duration to a width that stays readable as it grows.

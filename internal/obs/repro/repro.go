@@ -2,7 +2,7 @@
 // bundles and replays them. The point (following Sthread's "every failure
 // must yield a deterministic replay" discipline) is that a bug surfaced by
 // hours of bounded search must survive the process that found it: a Writer
-// registered as an obs.Sink persists, at the moment BugFound fires, a
+// registered as an obs.Sink persists, at the moment a BugEvent arrives, a
 // bundle directory holding
 //
 //	bundle.json   machine-readable manifest: schema version, search
@@ -148,11 +148,9 @@ func (b *Bundle) SwimlanePath() string { return filepath.Join(b.Dir, "swimlane.t
 func (b *Bundle) TracePath() string { return filepath.Join(b.Dir, "trace.json") }
 
 // Writer is an obs.Sink that persists a bundle for every (deduplicated)
-// BugFound event. Construct with NewWriter and register with the search via
+// BugEvent. Construct with NewWriter and register with the search via
 // obs.Multi; it ignores every other event kind.
 type Writer struct {
-	obs.Nop
-
 	mu    sync.Mutex
 	dir   string
 	prog  sched.Program
@@ -217,8 +215,12 @@ func kindSlug(kind string) string {
 	}, kind)
 }
 
-// BugFound implements obs.Sink: it writes one bundle for the defect.
-func (w *Writer) BugFound(ev obs.BugEvent) {
+// Emit implements obs.Sink: it writes one bundle for each BugEvent.
+func (w *Writer) Emit(e obs.Event) {
+	ev, ok := e.(*obs.BugEvent)
+	if !ok {
+		return
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if ev.Schedule == "" {

@@ -17,7 +17,7 @@ import (
 
 // TestBundleWriteLoadReplay is the acceptance check, end to end: a real ICB
 // search of the work-stealing queue with a seeded bug writes a bundle at
-// BugFound, and the bundle loads and replays to the identical bug and the
+// its bug event, and the bundle loads and replays to the identical bug and the
 // identical swimlane.
 func TestBundleWriteLoadReplay(t *testing.T) {
 	dir := t.TempDir()
@@ -92,7 +92,7 @@ func TestBundleWriteLoadReplay(t *testing.T) {
 // replayable schedule (the explicit-state checker's) are skipped silently.
 func TestWriterSkipsScheduleFreeBugs(t *testing.T) {
 	w := repro.NewWriter(t.TempDir(), nil, repro.Meta{})
-	w.BugFound(obs.BugEvent{Kind: "deadlock", Message: "stuck"})
+	w.Emit(&obs.BugEvent{Kind: "deadlock", Message: "stuck"})
 	if err := w.Err(); err != nil {
 		t.Errorf("Err() = %v, want nil", err)
 	}
